@@ -190,13 +190,24 @@ def _within(w: dict, v: dict, cutoff) -> bool:
     return not (_directed_gap(w, v, cutoff) or _directed_gap(v, w, cutoff))
 
 
+def _positive_eps(eps) -> Fraction:
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise TAError(f"epsilon must be positive, got {eps}")
+    return eps
+
+
 @dataclass(frozen=True)
 class CapacityEstimate:
     word_count: int
     separated_size: int
-    net_size: int
     capacity_bits: Optional[float]       # None for the empty slice
-    entropy_bits: Optional[float]
+
+    @property
+    def entropy_bits(self) -> Optional[float]:
+        """A maximal separated set is also a net, so one greedy set bounds the
+        eps-capacity from below and the eps-entropy from above."""
+        return self.capacity_bits
 
     @property
     def empty(self) -> bool:
@@ -207,23 +218,21 @@ def estimate_capacity(a, duration: Fraction, eps: Fraction,
                       grid: Optional[Fraction] = None,
                       cap: int = DEFAULT_WORD_CAP,
                       words: Optional[Sequence[TimedWord]] = None) -> CapacityEstimate:
-    """Greedy separated-set and net sizes over the grid slice; log2 sizes bound
-    the eps-capacity from below and the eps-entropy from above."""
-    eps = Fraction(eps)
+    """Greedy separated-set size over the grid slice; its log2 bounds the
+    eps-capacity from below and the eps-entropy from above."""
+    eps = _positive_eps(eps)
     grid = Fraction(grid) if grid is not None else eps / 2
     if grid > eps / 2:
         raise TAError("grid must be at most eps/2")
     if words is None:
         words = enumerate_words(a, duration, grid, cap)
     if not words:
-        return CapacityEstimate(0, 0, 0, None, None)
+        return CapacityEstimate(0, 0, None)
     cutoff = eps / grid  # distances are in grid units
     forms = [_int_form(w, grid) for w in words]
     durations = [int(w.duration / grid) for w in words]  # non-decreasing
-    # One greedy pass serves both bounds: a maximal separated set is a net.
     chosen = _greedy(forms, durations, cutoff)
-    return CapacityEstimate(len(words), len(chosen), len(chosen),
-                            math.log2(len(chosen)), math.log2(len(chosen)))
+    return CapacityEstimate(len(words), len(chosen), math.log2(len(chosen)))
 
 
 def _greedy(forms, durations, cutoff) -> list:
@@ -270,7 +279,7 @@ def bandwidth_curve(a, durations: Sequence[Fraction], epss: Sequence[Fraction],
     the cap; durations are tried in increasing order."""
     rows: list[CurveRow] = []
     for eps in epss:
-        eps = Fraction(eps)
+        eps = _positive_eps(eps)
         g = Fraction(grid) if grid is not None else eps / 2
         best: Optional[CurveRow] = None
         for t in sorted(Fraction(t) for t in durations):

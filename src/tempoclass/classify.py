@@ -1,13 +1,15 @@
 """Reachable-orbit saturation and the three-way bandwidth classification.
 
-The primary algorithm is breadth-first saturation of the orbit monoid with
-shortest witnesses; a divide-and-conquer mode mirroring the log-space
-reachability recursion is kept for cross-checking (same verdicts, no
-witnesses).  An automaton is meager when no cyclic freedom orbit carries a
-wide diagonal entry, obese when some cyclic duration orbit carries a fast
-diagonal entry (type I) or an instant/instant/slow triangle whose return edge
-is realizable by another cycle on the same region (type II), and normal
-otherwise.
+An automaton is meager when no cyclic freedom orbit carries a wide diagonal
+entry, obese when some cyclic duration orbit carries a fast diagonal entry
+(type I) or an instant/instant/slow triangle whose return edge is realizable
+by another cycle on the same region (type II), and normal otherwise.  Each
+pattern is scanned once, over a map from orbit element to witness.  Two modes
+build that map: `bfs` saturates the orbit monoid breadth-first and keeps a
+shortest witness per element; `savitch` squares level sets as in the log-space
+reachability recursion and keeps no witnesses.  It is the independent oracle:
+the same pattern predicates, the same verdicts, no witnesses.  Thickness
+always uses the bfs reachability monoid.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .orbits import (FAST, INSTANT, SLOW, WIDE, OrbitElement, edge_orbit,
-                     orbit_compose, orbit_one)
+                     orbit_compose, orbit_one, path_orbit)
 from .splitting import RegionSplitAutomaton, region_split
 from .ta import TAError, TimedAutomaton
 
@@ -29,7 +31,10 @@ DEFAULT_CAP = 10 ** 6
 def saturation_cap(flag_value: Optional[int] = None) -> int:
     env = os.environ.get("TEMPOCLASS_CAP")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise TAError(f"TEMPOCLASS_CAP must be an integer, got {env!r}")
     if flag_value is not None:
         return flag_value
     return DEFAULT_CAP
@@ -96,12 +101,6 @@ def _level_sets(a: RegionSplitAutomaton, kind: str, h: int,
     return level
 
 
-def is_path_orbit(a: RegionSplitAutomaton, e: OrbitElement, h: int,
-                  cap: int = DEFAULT_CAP) -> bool:
-    """True iff some path of length <= 2**h has orbit e."""
-    return e in _level_sets(a, e.kind, h, cap)
-
-
 @dataclass(frozen=True)
 class PatternWitness:
     cycle: tuple[str, ...]           # edge names in the region-split automaton
@@ -130,26 +129,35 @@ class ObeseReport:
 class ThickReport:
     thick: bool
     witness: Optional[PatternWitness] = None      # all-ones cyclic reach orbit
-    applicable: bool = True                       # bounded, non-punctual guards
+
+
+def _reach(a: RegionSplitAutomaton, kind: str, cap: int,
+           mode: str) -> dict[OrbitElement, Optional[tuple[str, ...]]]:
+    """Every path orbit of the kind, mapped to a shortest witness (`bfs`) or to
+    None (`savitch`)."""
+    if mode == "bfs":
+        return saturate(a, kind, cap)
+    if mode == "savitch":
+        return dict.fromkeys(_level_sets(a, kind, _doubling_depth(cap), cap))
+    raise ValueError(f"unknown mode {mode!r}; expected 'bfs' or 'savitch'")
+
+
+def _witnesses(*found: tuple) -> tuple[PatternWitness, ...]:
+    """A PatternWitness per (cycle, position, kind) whose cycle is known;
+    savitch mode knows none."""
+    return tuple(PatternWitness(*f) for f in found if f[0] is not None)
 
 
 def is_structurally_meager(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
                            mode: str = "bfs", reach=None) -> MeagerReport:
     """No cyclic freedom orbit may carry wide on its diagonal."""
-    if mode == "savitch":
-        elems = _level_sets(a, "f", _doubling_depth(cap), cap)
-        for elem in sorted(elems, key=lambda x: (x.tag, str(x))):
-            if elem.cyclic and WIDE in elem.diagonal():
-                return MeagerReport(False, None)
-        return MeagerReport(True, None)
     if reach is None:
-        reach = saturate(a, "f", cap)
+        reach = _reach(a, "f", cap, mode)
     for elem, wit in reach.items():
         if elem.cyclic:
-            diag = elem.diagonal()
-            for i, v in enumerate(diag):
+            for i, v in enumerate(elem.diagonal()):
                 if v == WIDE:
-                    return MeagerReport(False, PatternWitness(wit, (i, i), "f"))
+                    return MeagerReport(False, *_witnesses((wit, (i, i), "f")))
     return MeagerReport(True, None)
 
 
@@ -157,34 +165,13 @@ def is_structurally_obese(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
                           mode: str = "bfs", reach_d=None, reach_p=None) -> ObeseReport:
     """Fast diagonal (type I), or an instant/instant pair with a slow edge
     between them whose return is realizable on the same region (type II)."""
-    if mode == "savitch":
-        elems_d = _level_sets(a, "d", _doubling_depth(cap), cap)
-        elems_p = None
-        for elem in sorted(elems_d, key=lambda x: (x.tag, str(x))):
-            if elem.cyclic and FAST in elem.diagonal():
-                return ObeseReport(True, "I")
-        for elem in sorted(elems_d, key=lambda x: (x.tag, str(x))):
-            if not elem.cyclic:
-                continue
-            hit = _type2_positions(elem)
-            if not hit:
-                continue
-            if elems_p is None:
-                elems_p = _level_sets(a, "p", _doubling_depth(cap), cap)
-            for (u, v) in hit:
-                for other in elems_p:
-                    if other.cyclic and other.src == elem.src and other.entry(v, u) != 0:
-                        return ObeseReport(True, "II")
-        return ObeseReport(False)
-
     if reach_d is None:
-        reach_d = saturate(a, "d", cap)
+        reach_d = _reach(a, "d", cap, mode)
     for elem, wit in reach_d.items():
         if elem.cyclic:
             for i, val in enumerate(elem.diagonal()):
                 if val == FAST:
-                    return ObeseReport(True, "I",
-                                       (PatternWitness(wit, (i, i), "d"),))
+                    return ObeseReport(True, "I", _witnesses((wit, (i, i), "d")))
     for elem, wit in reach_d.items():
         if not elem.cyclic:
             continue
@@ -192,13 +179,12 @@ def is_structurally_obese(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
         if not hit:
             continue
         if reach_p is None:
-            reach_p = saturate(a, "p", cap)
+            reach_p = _reach(a, "p", cap, mode)
         for (u, v) in hit:
             for other, wit2 in reach_p.items():
                 if other.cyclic and other.src == elem.src and other.entry(v, u) != 0:
-                    return ObeseReport(True, "II", (
-                        PatternWitness(wit, (u, v), "d"),
-                        PatternWitness(wit2, (v, u), "p")))
+                    return ObeseReport(True, "II", _witnesses(
+                        (wit, (u, v), "d"), (wit2, (v, u), "p")))
     return ObeseReport(False)
 
 
@@ -229,9 +215,6 @@ def is_thick(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
     several runs (its freedom orbit is wide there); with two or more vertices
     completeness already forces wide self-loops in the squared cycle.
     """
-    from .orbits import path_orbit
-
-    applicable = True  # caller may refine via guards_bounded_nonpunctual
     if reach is None:
         reach = saturate(a, "p", cap)
     for elem, wit in reach.items():
@@ -241,8 +224,8 @@ def is_thick(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
             f = path_orbit(a, [a.edge_named(n) for n in wit], "f")
             if f.tag != "elem" or f.entry(0, 0) != WIDE:
                 continue
-        return ThickReport(True, PatternWitness(wit, (0, 0), "p"), applicable)
-    return ThickReport(False, None, applicable)
+        return ThickReport(True, PatternWitness(wit, (0, 0), "p"))
+    return ThickReport(False, None)
 
 
 def guards_bounded_nonpunctual(a: TimedAutomaton) -> bool:
@@ -308,20 +291,18 @@ def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Ve
     """Region-split, run both structural checks, attach the fatness verdict."""
     t0 = time.monotonic()
     rsta = a if isinstance(a, RegionSplitAutomaton) else region_split(a)
+    # bfs saturates every kind up front: the sizes are reported and p feeds
+    # the thickness check; savitch leaves p to the obesity check.
+    kinds = ("p", "f", "d") if mode == "bfs" else ("f", "d")
+    reaches = {k: _reach(rsta, k, cap, mode) for k in kinds}
     if not rsta.locations:
         # empty language: no cycles at all
         return Verdict("meager", None, "thin", guards_bounded_nonpunctual(a), (), {
             "locations": 0, "regions": 0, "monoidSize": 0, "witnessMaxLen": 0,
             "wallTimeMs": int((time.monotonic() - t0) * 1000)})
-    if mode == "bfs":
-        reaches = {k: saturate(rsta, k, cap) for k in ("p", "f", "d")}
-        meager = is_structurally_meager(rsta, cap, mode, reach=reaches["f"])
-        obese = is_structurally_obese(rsta, cap, mode,
-                                      reach_d=reaches["d"], reach_p=reaches["p"])
-    else:
-        reaches = {}
-        meager = is_structurally_meager(rsta, cap, mode)
-        obese = is_structurally_obese(rsta, cap, mode)
+    meager = is_structurally_meager(rsta, reach=reaches["f"])
+    obese = is_structurally_obese(rsta, cap, mode, reach_d=reaches["d"],
+                                  reach_p=reaches.get("p"))
     if meager.meager and obese.obese:
         raise ClassificationError(
             "structural meagerness and obesity both hold; this cannot happen")
@@ -338,11 +319,10 @@ def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Ve
         cls = "obese"
     else:
         cls = "normal"
-    sizes = [len(r) for r in reaches.values()]
     stats = {
         "locations": len(rsta.locations),
         "regions": len(set(rsta.regions.values())),
-        "monoidSize": max(sizes) if sizes else None,
+        "monoidSize": max(map(len, reaches.values())) if mode == "bfs" else None,
         "witnessMaxLen": max((len(w.cycle) for w in witnesses), default=0),
         "wallTimeMs": int((time.monotonic() - t0) * 1000),
     }

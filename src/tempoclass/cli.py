@@ -49,6 +49,13 @@ def _fraction(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}: {ex}")
 
 
+def _word(path: str, text: str) -> wd.TimedWord:
+    try:
+        return wd.parse_word(text)
+    except (ValueError, ZeroDivisionError) as ex:
+        raise UsageError(f"bad word file {path}: {ex}")
+
+
 def _fraction_list(text: str) -> list[Fraction]:
     return [_fraction(part) for part in text.split(",") if part]
 
@@ -203,7 +210,7 @@ def cmd_classify(args) -> int:
 def cmd_distance(args) -> int:
     t1, d1 = _read(args.word1)
     t2, d2 = _read(args.word2)
-    w1, w2 = wd.parse_word(t1), wd.parse_word(t2)
+    w1, w2 = _word(args.word1, t1), _word(args.word2, t2)
     fwd, back = wd.directed_distance(w1, w2), wd.directed_distance(w2, w1)
     dist = wd.distance(w1, w2)
     result = {
@@ -259,8 +266,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tempoclass",
                      description="bandwidth classification of timed automata")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker bound for internal parallelism (reserved)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse and check determinism")

@@ -55,10 +55,6 @@ def semiring_values(kind: str) -> range:
     return range(len(_LABELS[kind]))
 
 
-def semiring_unit(kind: str) -> int:
-    return 1  # narrow / instant / Boolean 1
-
-
 def label(kind: str, value: int) -> str:
     return _LABELS[kind][value]
 

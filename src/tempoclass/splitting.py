@@ -264,6 +264,12 @@ def region_expr_text(a, region: Region) -> str:
 def _parse_region_expr(expr: str, clocks: tuple[str, ...], bound_hint: int) -> Region:
     import re
     idx = {c: i for i, c in enumerate(clocks)}
+
+    def clock(name: str) -> int:
+        if name not in idx:
+            raise TAError(f"unknown clock {name!r} in region expression {expr!r}")
+        return idx[name]
+
     ints: dict[int, int] = {}
     above: set[int] = set()
     zero: set[int] = set()
@@ -278,27 +284,27 @@ def _parse_region_expr(expr: str, clocks: tuple[str, ...], bound_hint: int) -> R
         if m:
             c = m.group(1) or m.group(3)
             k = int(m.group(2) or m.group(4))
-            ints[idx[c]] = k
+            ints[clock(c)] = k
             bound = max(bound, k)
             continue
         m = re.fullmatch(r"(\w+)>(\d+|M)", atom)
         if m:
             c = m.group(1)
-            above.add(idx[c])
+            above.add(clock(c))
             if m.group(2) != "M":
                 bound = max(bound, int(m.group(2)))
             continue
         m = re.fullmatch(r"frac\((\w+)\)=0", atom)
         if m:
-            zero.add(idx[m.group(1)])
+            zero.add(clock(m.group(1)))
             continue
         m = re.fullmatch(r"frac\((\w+)\)=frac\((\w+)\)", atom)
         if m:
-            equal.append((idx[m.group(1)], idx[m.group(2)]))
+            equal.append((clock(m.group(1)), clock(m.group(2))))
             continue
         m = re.fullmatch(r"frac\((\w+)\)<frac\((\w+)\)", atom)
         if m:
-            less.append((idx[m.group(1)], idx[m.group(2)]))
+            less.append((clock(m.group(1)), clock(m.group(2))))
             continue
         raise TAError(f"bad region atom {raw.strip()!r}")
     bounded = set(ints) - above

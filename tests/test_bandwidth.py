@@ -150,6 +150,14 @@ edge q -> p on a guard x < 1
     assert est.capacity_bits is None and est.entropy_bits is None
 
 
+@pytest.mark.parametrize("eps", [F(0), F(-1, 2)])
+def test_eps_must_be_positive(eps):
+    with pytest.raises(TAError):
+        estimate_capacity(automaton("a5"), F(2), eps)
+    with pytest.raises(TAError):
+        bandwidth_curve(automaton("a5"), [F(2)], [eps])
+
+
 def test_grid_must_resolve_eps():
     with pytest.raises(TAError):
         estimate_capacity(automaton("a5"), F(2), F(1, 4), grid=F(1, 4))

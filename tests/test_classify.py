@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from tempoclass.classify import (SaturationCapExceeded, classify,
-                                 guards_bounded_nonpunctual, is_path_orbit,
+from tempoclass.classify import (SaturationCapExceeded, _level_sets, classify,
+                                 guards_bounded_nonpunctual,
                                  is_structurally_meager, is_structurally_obese,
                                  is_thick, saturate, structurally_zeno)
 from tempoclass.corpus import NAMES, automaton
@@ -59,17 +59,17 @@ def test_saturation_cap():
     assert len(exc.value.partial) >= 5
 
 
-def test_is_path_orbit(split_corpus):
+def test_level_sets_membership(split_corpus):
     rs = split_corpus["a6"]
-    assert is_path_orbit(rs, orbit_one("f"), 0)
+    assert orbit_one("f") in _level_sets(rs, "f", 0)
     reach = saturate(rs, "p")
     cyclic = next(e for e in reach if e.cyclic and len(reach[e]) == 2)
-    assert is_path_orbit(rs, cyclic, 1)
+    assert cyclic in _level_sets(rs, "p", 1)
     bogus = orbit_element("p", rs.locations[0],
                           ((1,),) * len(rs.location_vertices(rs.locations[0])),
                           rs.locations[0])
     if bogus not in reach:
-        assert not is_path_orbit(rs, bogus, 8)
+        assert bogus not in _level_sets(rs, "p", 8)
 
 
 def test_mode_agreement(split_corpus, rng):
@@ -80,8 +80,9 @@ def test_mode_agreement(split_corpus, rng):
         for kind in ("p", "f", "d"):
             reach = saturate(rs, kind)
             h = max(1, math.ceil(math.log2(len(reach))))
+            level = _level_sets(rs, kind, h)
             for elem in reach:
-                assert is_path_orbit(rs, elem, h)
+                assert elem in level
             misses = 0
             while misses < 50:
                 src = rng.choice(rs.locations)
@@ -95,7 +96,7 @@ def test_mode_agreement(split_corpus, rng):
                 if elem.is_zero or elem in reach:
                     continue
                 misses += 1
-                assert not is_path_orbit(rs, elem, h)
+                assert elem not in level
 
 
 def test_meagerness_verdicts(split_corpus):
@@ -171,6 +172,17 @@ def test_savitch_mode_agrees(name):
     v2 = classify(automaton(name), mode="savitch")
     assert v1.classification == v2.classification
     assert v1.obesity_type == v2.obesity_type
+
+
+@pytest.mark.parametrize("mode", ["BFS", "savitchh", ""])
+def test_unknown_mode_rejected(split_corpus, mode):
+    rs = split_corpus["a8"]
+    with pytest.raises(ValueError):
+        classify(automaton("a8"), mode=mode)
+    with pytest.raises(ValueError):
+        is_structurally_meager(rs, mode=mode)
+    with pytest.raises(ValueError):
+        is_structurally_obese(rs, mode=mode)
 
 
 def test_thickness(split_corpus):
@@ -271,3 +283,5 @@ edge q -> p on a guard x > 1, x < 1
     v = classify(a)
     assert v.classification == "meager"
     assert v.stats["locations"] == 0
+    with pytest.raises(ValueError):
+        classify(a, mode="BFS")

@@ -145,6 +145,40 @@ def test_error_exits(capsys, tmp_path):
     assert code == 10  # argparse usage error remapped
 
 
+STARTING_UNKNOWN_CLOCK = """automaton s
+clocks x
+alphabet a
+location q initial x=0 accepting
+starting q ⌊z⌋=0, frac(z)=0
+"""
+
+
+@pytest.mark.parametrize("env, files, argv", [
+    pytest.param({"TEMPOCLASS_CAP": "abc"}, {}, ["classify", "a6.ta"],
+                 id="cap-env-not-integer"),
+    pytest.param({}, {}, ["bandwidth", "a5.ta", "--T", "10", "--eps", "0"],
+                 id="eps-zero"),
+    pytest.param({}, {}, ["bandwidth", "a5.ta", "--T", "10", "--eps=-1/2"],
+                 id="eps-negative"),
+    pytest.param({}, {"w.tw": "a 1/0\n"}, ["distance", "w.tw", "u.tw"],
+                 id="word-date-zero-denominator"),
+    pytest.param({}, {"w.tw": "a\n"}, ["distance", "u.tw", "w.tw"],
+                 id="word-line-without-date"),
+    pytest.param({}, {"s.ta": STARTING_UNKNOWN_CLOCK}, ["validate", "s.ta"],
+                 id="starting-unknown-clock"),
+])
+def test_bad_input_exits_with_message(capsys, corpus_dir, monkeypatch, env,
+                                      files, argv):
+    monkeypatch.chdir(corpus_dir)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    for name, text in files.items():
+        (corpus_dir / name).write_text(text)
+    code, _, err = run(capsys, *argv)
+    assert code == 10
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_saturation_cap_env(capsys, corpus_dir, monkeypatch):
     monkeypatch.setenv("TEMPOCLASS_CAP", "3")
     code, _, err = run(capsys, "classify", str(corpus_dir / "a6.ta"))
