@@ -10,6 +10,13 @@ shortest witness per element; `savitch` squares level sets as in the log-space
 reachability recursion and keeps no witnesses.  It is the independent oracle:
 the same pattern predicates, the same verdicts, no witnesses.  Thickness
 always uses the bfs reachability monoid.
+
+One `classify` call builds the edge orbits of every kind once, from one
+language class per edge and vertex pair, and both modes build their monoids
+from that table.  On a type-II automaton savitch still builds the
+reachability monoid twice, as level sets for the obesity check and
+breadth-first for thickness: reusing the bfs monoid in the obesity check
+would give savitch a reachability witness and change its reports.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .orbits import (FAST, INSTANT, SLOW, WIDE, OrbitElement, edge_orbit,
-                     orbit_compose, orbit_one, path_orbit)
+from .orbits import (FAST, INSTANT, SLOW, WIDE, EdgeOrbitTable, OrbitElement,
+                     edge_orbit_table, orbit_compose, orbit_one)
 from .splitting import RegionSplitAutomaton, region_split
 from .ta import TAError, TimedAutomaton
 
@@ -32,12 +39,14 @@ def saturation_cap(flag_value: Optional[int] = None) -> int:
     env = os.environ.get("TEMPOCLASS_CAP")
     if env is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise TAError(f"TEMPOCLASS_CAP must be an integer, got {env!r}")
-    if flag_value is not None:
-        return flag_value
-    return DEFAULT_CAP
+    else:
+        cap = DEFAULT_CAP if flag_value is None else flag_value
+    if cap < 1:
+        raise TAError(f"cap must be a positive integer, got {cap}")
+    return cap
 
 
 class SaturationCapExceeded(TAError):
@@ -47,26 +56,34 @@ class SaturationCapExceeded(TAError):
         self.partial = partial
 
 
-def saturate(a: RegionSplitAutomaton, kind: str,
-             cap: int = DEFAULT_CAP) -> dict[OrbitElement, tuple[str, ...]]:
+def saturate(a: RegionSplitAutomaton, kind: str, cap: int = DEFAULT_CAP, *,
+             table: Optional[EdgeOrbitTable] = None
+             ) -> dict[OrbitElement, tuple[str, ...]]:
     """All orbits of paths, each mapped to a shortest witness edge sequence.
 
     Breadth-first closure over right-extension by single edges; insertion
-    order is by witness length, so stored witnesses are minimal.
+    order is by witness length, so stored witnesses are minimal.  The unit
+    extends by every edge, any other element by the out-edges of its target
+    location, both in `a.edges` order.  `table` is the edge orbit table of
+    `a`; it is built here when not given.
     """
-    edge_orbits = [(e, edge_orbit(a, e, kind)) for e in a.edges]
-    reach: dict[OrbitElement, tuple[str, ...]] = {orbit_one(kind): ()}
-    frontier: deque[OrbitElement] = deque([orbit_one(kind)])
+    if table is None:
+        table = edge_orbit_table(a)
+    edges = [(e.name, eo) for e, eo in zip(a.edges, table[kind])]
+    out_edges: dict[str, list[tuple[str, OrbitElement]]] = {}
+    for e, named in zip(a.edges, edges):
+        out_edges.setdefault(e.src, []).append(named)
+    one = orbit_one(kind)
+    reach: dict[OrbitElement, tuple[str, ...]] = {one: ()}
+    frontier: deque[OrbitElement] = deque([one])
     while frontier:
         elem = frontier.popleft()
         wit = reach[elem]
-        for e, eo in edge_orbits:
-            if elem.tag == "elem" and elem.dst != e.src:
-                continue
+        for name, eo in edges if elem.is_one else out_edges.get(elem.dst, ()):
             nxt = orbit_compose(elem, eo)
             if nxt.is_zero or nxt in reach:
                 continue
-            reach[nxt] = wit + (e.name,)
+            reach[nxt] = wit + (name,)
             if len(reach) > cap:
                 raise SaturationCapExceeded(cap, reach)
             frontier.append(nxt)
@@ -74,18 +91,18 @@ def saturate(a: RegionSplitAutomaton, kind: str,
 
 
 def _level_sets(a: RegionSplitAutomaton, kind: str, h: int,
-                cap: int = DEFAULT_CAP) -> set[OrbitElement]:
+                cap: int = DEFAULT_CAP, *,
+                table: Optional[EdgeOrbitTable] = None) -> set[OrbitElement]:
     """Orbits of paths of length <= 2**h, by repeated squaring of the level set.
 
     This is the memoized form of the recursive column-doubling search: a path
     of length <= 2**h splits into two halves of length <= 2**(h-1), with the
     unit padding shorter paths.
     """
+    if table is None:
+        table = edge_orbit_table(a)
     level: set[OrbitElement] = {orbit_one(kind)}
-    for e in a.edges:
-        eo = edge_orbit(a, e, kind)
-        if not eo.is_zero:
-            level.add(eo)
+    level.update(eo for eo in table[kind] if not eo.is_zero)
     for _ in range(h):
         nxt = set(level)
         for e1 in level:
@@ -131,14 +148,16 @@ class ThickReport:
     witness: Optional[PatternWitness] = None      # all-ones cyclic reach orbit
 
 
-def _reach(a: RegionSplitAutomaton, kind: str, cap: int,
-           mode: str) -> dict[OrbitElement, Optional[tuple[str, ...]]]:
+def _reach(a: RegionSplitAutomaton, kind: str, cap: int, mode: str,
+           table: Optional[EdgeOrbitTable] = None
+           ) -> dict[OrbitElement, Optional[tuple[str, ...]]]:
     """Every path orbit of the kind, mapped to a shortest witness (`bfs`) or to
     None (`savitch`)."""
     if mode == "bfs":
-        return saturate(a, kind, cap)
+        return saturate(a, kind, cap, table=table)
     if mode == "savitch":
-        return dict.fromkeys(_level_sets(a, kind, _doubling_depth(cap), cap))
+        return dict.fromkeys(_level_sets(a, kind, _doubling_depth(cap), cap,
+                                         table=table))
     raise ValueError(f"unknown mode {mode!r}; expected 'bfs' or 'savitch'")
 
 
@@ -162,11 +181,12 @@ def is_structurally_meager(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
 
 
 def is_structurally_obese(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
-                          mode: str = "bfs", reach_d=None, reach_p=None) -> ObeseReport:
+                          mode: str = "bfs", reach_d=None, reach_p=None,
+                          table: Optional[EdgeOrbitTable] = None) -> ObeseReport:
     """Fast diagonal (type I), or an instant/instant pair with a slow edge
     between them whose return is realizable on the same region (type II)."""
     if reach_d is None:
-        reach_d = _reach(a, "d", cap, mode)
+        reach_d = _reach(a, "d", cap, mode, table)
     for elem, wit in reach_d.items():
         if elem.cyclic:
             for i, val in enumerate(elem.diagonal()):
@@ -179,7 +199,7 @@ def is_structurally_obese(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
         if not hit:
             continue
         if reach_p is None:
-            reach_p = _reach(a, "p", cap, mode)
+            reach_p = _reach(a, "p", cap, mode, table)
         for (u, v) in hit:
             for other, wit2 in reach_p.items():
                 if other.cyclic and other.src == elem.src and other.entry(v, u) != 0:
@@ -208,20 +228,31 @@ def _doubling_depth(cap: int) -> int:
 
 
 def is_thick(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
-             reach=None) -> ThickReport:
+             reach=None, table: Optional[EdgeOrbitTable] = None) -> ThickReport:
     """Thick iff some cycle's reachability orbit is the complete graph.
 
     A complete orbit on a single vertex only counts when the cycle admits
     several runs (its freedom orbit is wide there); with two or more vertices
-    completeness already forces wide self-loops in the squared cycle.
+    completeness already forces wide self-loops in the squared cycle.  Its
+    freedom orbit is composed from `table`, the edge orbit table of `a`, which
+    is built here when needed and not given.
     """
     if reach is None:
-        reach = saturate(a, "p", cap)
+        if table is None:
+            table = edge_orbit_table(a)
+        reach = saturate(a, "p", cap, table=table)
+    f_orbits: Optional[dict[str, OrbitElement]] = None
     for elem, wit in reach.items():
         if not (elem.cyclic and all(v != 0 for row in elem.matrix for v in row)):
             continue
         if len(elem.matrix) == 1:
-            f = path_orbit(a, [a.edge_named(n) for n in wit], "f")
+            if f_orbits is None:
+                if table is None:
+                    table = edge_orbit_table(a)
+                f_orbits = dict(zip((e.name for e in a.edges), table["f"]))
+            f = orbit_one("f")
+            for name in wit:
+                f = orbit_compose(f, f_orbits[name])
             if f.tag != "elem" or f.entry(0, 0) != WIDE:
                 continue
         return ThickReport(True, PatternWitness(wit, (0, 0), "p"))
@@ -291,10 +322,12 @@ def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Ve
     """Region-split, run both structural checks, attach the fatness verdict."""
     t0 = time.monotonic()
     rsta = a if isinstance(a, RegionSplitAutomaton) else region_split(a)
-    # bfs saturates every kind up front: the sizes are reported and p feeds
-    # the thickness check; savitch leaves p to the obesity check.
+    # Every kind's edge orbits come from one table.  bfs saturates every kind
+    # up front: the sizes are reported and p feeds the thickness check;
+    # savitch leaves p to the obesity check.
+    table = edge_orbit_table(rsta)
     kinds = ("p", "f", "d") if mode == "bfs" else ("f", "d")
-    reaches = {k: _reach(rsta, k, cap, mode) for k in kinds}
+    reaches = {k: _reach(rsta, k, cap, mode, table) for k in kinds}
     if not rsta.locations:
         # empty language: no cycles at all
         return Verdict("meager", None, "thin", guards_bounded_nonpunctual(a), (), {
@@ -302,11 +335,11 @@ def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Ve
             "wallTimeMs": int((time.monotonic() - t0) * 1000)})
     meager = is_structurally_meager(rsta, reach=reaches["f"])
     obese = is_structurally_obese(rsta, cap, mode, reach_d=reaches["d"],
-                                  reach_p=reaches.get("p"))
+                                  reach_p=reaches.get("p"), table=table)
     if meager.meager and obese.obese:
         raise ClassificationError(
             "structural meagerness and obesity both hold; this cannot happen")
-    thick = is_thick(rsta, cap, reach=reaches.get("p"))
+    thick = is_thick(rsta, cap, reach=reaches.get("p"), table=table)
     witnesses: list[PatternWitness] = []
     if meager.witness:
         witnesses.append(meager.witness)

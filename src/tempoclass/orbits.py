@@ -115,14 +115,15 @@ def orbit_element(kind: str, src: str, matrix: Sequence[Sequence[int]],
 
 
 def orbit_compose(e1: OrbitElement, e2: OrbitElement) -> OrbitElement:
-    if e1.kind != e2.kind:
-        raise ValueError("cannot compose orbits of different kinds")
     kind = e1.kind
-    if e1.is_zero or e2.is_zero:
+    if kind != e2.kind:
+        raise ValueError("cannot compose orbits of different kinds")
+    t1, t2 = e1.tag, e2.tag
+    if t1 == "zero" or t2 == "zero":
         return orbit_zero(kind)
-    if e1.is_one:
+    if t1 == "one":
         return e2
-    if e2.is_one:
+    if t2 == "one":
         return e1
     if e1.dst != e2.src:
         return orbit_zero(kind)
@@ -131,16 +132,24 @@ def orbit_compose(e1: OrbitElement, e2: OrbitElement) -> OrbitElement:
     if len(a[0]) != len(b):
         return orbit_zero(kind)
     add, mul = _TABLES[kind]
+    cols = range(len(b[0]))
     rows = []
-    for i in range(len(a)):
-        row = []
-        for j in range(len(b[0])):
-            acc = 0
-            for k in range(len(b)):
-                acc = add[acc][mul[a[i][k]][b[k][j]]]
-            row.append(acc)
+    nonzero = False
+    # zero terms are skipped: 0 is the additive unit and absorbs products
+    for a_row in a:
+        row = [0] * len(cols)
+        for x, b_row in zip(a_row, b):
+            if x:
+                mul_x = mul[x]
+                for j in cols:
+                    y = b_row[j]
+                    if y:
+                        row[j] = add[row[j]][mul_x[y]]
+        nonzero = nonzero or any(row)
         rows.append(tuple(row))
-    return orbit_element(kind, e1.src, tuple(rows), e2.dst)
+    if not nonzero:
+        return orbit_zero(kind)
+    return OrbitElement(kind, "elem", e1.src, tuple(rows), e2.dst)
 
 
 def _entry_value(kind: str, lc: LanguageClass) -> int:
@@ -159,18 +168,29 @@ def _entry_value(kind: str, lc: LanguageClass) -> int:
     return FAST
 
 
-def _matrix_for(automaton, path, src: str, dst: str, kind: str) -> OrbitElement:
-    vs = automaton.location_vertices(src)
-    vd = automaton.location_vertices(dst)
-    rows = tuple(
-        tuple(_entry_value(kind, language_class(automaton, path, v, w)) for w in vd)
-        for v in vs)
-    return orbit_element(kind, src, rows, dst)
+def _orbits(automaton, path, src: str, dst: str) -> dict[str, OrbitElement]:
+    """Orbit of `path` from `src` to `dst` in every kind.  Every kind is an
+    image of the same vertex-to-vertex languages, so each is classified once."""
+    classes = [[language_class(automaton, path, v, w)
+                for w in automaton.location_vertices(dst)]
+               for v in automaton.location_vertices(src)]
+    return {kind: orbit_element(kind, src, [[_entry_value(kind, lc) for lc in row]
+                                            for row in classes], dst)
+            for kind in KINDS}
+
+
+EdgeOrbitTable = dict[str, tuple[OrbitElement, ...]]
+
+
+def edge_orbit_table(automaton) -> EdgeOrbitTable:
+    """Orbit of every edge in every kind, aligned with `automaton.edges`."""
+    per_edge = [_orbits(automaton, [e], e.src, e.dst) for e in automaton.edges]
+    return {kind: tuple(orbits[kind] for orbits in per_edge) for kind in KINDS}
 
 
 def edge_orbit(automaton, edge, kind: str) -> OrbitElement:
     """Orbit of one region-split edge, entries from vertex-to-vertex languages."""
-    return _matrix_for(automaton, [edge], edge.src, edge.dst, kind)
+    return _orbits(automaton, [edge], edge.src, edge.dst)[kind]
 
 
 def path_orbit(automaton, path, kind: str) -> OrbitElement:
@@ -190,7 +210,7 @@ def path_orbit_direct(automaton, path, kind: str) -> OrbitElement:
     for a, b in zip(path, path[1:]):
         if a.dst != b.src:
             return orbit_zero(kind)
-    return _matrix_for(automaton, list(path), path[0].src, path[-1].dst, kind)
+    return _orbits(automaton, list(path), path[0].src, path[-1].dst)[kind]
 
 
 def idempotent_power(e: OrbitElement, cap: int = 1 << 16) -> tuple[int, OrbitElement]:

@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
@@ -8,12 +10,13 @@ from tempoclass.classify import (SaturationCapExceeded, _level_sets, classify,
                                  is_structurally_meager, is_structurally_obese,
                                  is_thick, saturate, structurally_zeno)
 from tempoclass.corpus import NAMES, automaton
-from tempoclass.orbits import (FAST, INSTANT, SLOW, WIDE, orbit_element,
-                               orbit_one, path_orbit)
+from tempoclass.orbits import (FAST, INSTANT, KINDS, SLOW, WIDE, edge_orbit,
+                               orbit_element, orbit_one, orbit_zero,
+                               path_orbit, semiring_add, semiring_mul)
 from tempoclass.regions import region_of
 from conftest import random_automaton
 from tempoclass.splitting import region_split
-from tempoclass.ta import check_deterministic
+from tempoclass.ta import check_deterministic, parse_automaton
 
 
 def test_saturate_contains_a6_cycle_orbits(split_corpus):
@@ -50,6 +53,88 @@ def test_saturate_a7_wide_cycle(split_corpus):
             if e.cyclic and WIDE in e.diagonal()]
     assert hits
     assert min(len(w) for _, w in hits) == 2
+
+
+FAM_3_2 = """\
+automaton fam_3_2
+clocks x y
+alphabet a b c
+location q initial accepting
+location p accepting
+edge q -> p on a guard x < 3 reset x
+edge p -> q on b guard y > 1, y < 3 reset y
+edge q -> q on c guard x < 1
+"""
+
+
+def _reference_product(e1, e2):
+    """Semiring matrix product over every term, unit and zero handled apart."""
+    if e1.is_zero or e2.is_zero:
+        return orbit_zero(e1.kind)
+    if e1.is_one:
+        return e2
+    if e2.is_one:
+        return e1
+    if e1.dst != e2.src:
+        return orbit_zero(e1.kind)
+    kind, a, b = e1.kind, e1.matrix, e2.matrix
+    rows = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            acc = 0
+            for k in range(len(b)):
+                acc = semiring_add(kind, acc, semiring_mul(kind, a[i][k], b[k][j]))
+            row.append(acc)
+        rows.append(row)
+    return orbit_element(kind, e1.src, rows, e2.dst)
+
+
+def _reference_saturate(rs, kind):
+    """Breadth-first saturation that tries every edge on every element."""
+    edge_orbits = [(e, edge_orbit(rs, e, kind)) for e in rs.edges]
+    reach = {orbit_one(kind): ()}
+    frontier = deque(reach)
+    while frontier:
+        elem = frontier.popleft()
+        for e, eo in edge_orbits:
+            if elem.tag == "elem" and elem.dst != e.src:
+                continue
+            nxt = _reference_product(elem, eo)
+            if nxt.is_zero or nxt in reach:
+                continue
+            reach[nxt] = reach[elem] + (e.name,)
+            frontier.append(nxt)
+    return reach
+
+
+@pytest.mark.parametrize("name", [*NAMES, "fam_3_2"])
+def test_saturate_matches_all_edge_reference(split_corpus, name):
+    rs = (region_split(parse_automaton(FAM_3_2)) if name == "fam_3_2"
+          else split_corpus[name])
+    for kind in KINDS:
+        assert list(saturate(rs, kind).items()) == \
+            list(_reference_saturate(rs, kind).items()), kind
+
+
+@pytest.mark.parametrize("mode", ["bfs", "savitch"])
+def test_classify_builds_edge_languages_once(split_corpus, monkeypatch, mode):
+    # the package's classify() shadows the submodule name, so modules are
+    # fetched by import path
+    orbits = importlib.import_module("tempoclass.orbits")
+    real = orbits.language_class
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(orbits, "language_class", counting)
+    verdict = classify(automaton("a2"), mode=mode)
+    assert verdict.obesity_type == "II"
+    rs = split_corpus["a2"]
+    assert calls[0] == sum(len(rs.location_vertices(e.src))
+                           * len(rs.location_vertices(e.dst)) for e in rs.edges)
 
 
 def test_saturation_cap():

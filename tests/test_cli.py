@@ -153,22 +153,26 @@ starting q ⌊z⌋=0, frac(z)=0
 """
 
 
-@pytest.mark.parametrize("env, files, argv", [
+@pytest.mark.parametrize("env, files, argv, message", [
     pytest.param({"TEMPOCLASS_CAP": "abc"}, {}, ["classify", "a6.ta"],
-                 id="cap-env-not-integer"),
+                 "TEMPOCLASS_CAP must be an integer", id="cap-env-not-integer"),
+    pytest.param({"TEMPOCLASS_CAP": "0"}, {}, ["classify", "a6.ta"],
+                 "cap must be a positive integer", id="cap-env-not-positive"),
+    pytest.param({}, {}, ["classify", "a6.ta", "--cap", "-3"],
+                 "cap must be a positive integer", id="cap-flag-not-positive"),
     pytest.param({}, {}, ["bandwidth", "a5.ta", "--T", "10", "--eps", "0"],
-                 id="eps-zero"),
+                 "epsilon must be positive", id="eps-zero"),
     pytest.param({}, {}, ["bandwidth", "a5.ta", "--T", "10", "--eps=-1/2"],
-                 id="eps-negative"),
+                 "epsilon must be positive", id="eps-negative"),
     pytest.param({}, {"w.tw": "a 1/0\n"}, ["distance", "w.tw", "u.tw"],
-                 id="word-date-zero-denominator"),
+                 "bad word file", id="word-date-zero-denominator"),
     pytest.param({}, {"w.tw": "a\n"}, ["distance", "u.tw", "w.tw"],
-                 id="word-line-without-date"),
+                 "bad word file", id="word-line-without-date"),
     pytest.param({}, {"s.ta": STARTING_UNKNOWN_CLOCK}, ["validate", "s.ta"],
-                 id="starting-unknown-clock"),
+                 "unknown clock", id="starting-unknown-clock"),
 ])
 def test_bad_input_exits_with_message(capsys, corpus_dir, monkeypatch, env,
-                                      files, argv):
+                                      files, argv, message):
     monkeypatch.chdir(corpus_dir)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -177,6 +181,7 @@ def test_bad_input_exits_with_message(capsys, corpus_dir, monkeypatch, env,
     code, _, err = run(capsys, *argv)
     assert code == 10
     assert err.count("\n") == 1 and err.startswith("error: ")
+    assert message in err
 
 
 def test_saturation_cap_env(capsys, corpus_dir, monkeypatch):

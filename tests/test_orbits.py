@@ -6,8 +6,8 @@ import pytest
 from conftest import grid_points_in_closure, random_paths
 from tempoclass.corpus import NAMES, automaton
 from tempoclass.dbm import language_class
-from tempoclass.orbits import (FAST, INSTANT, NARROW, SLOW, WIDE, edge_orbit,
-                               export_dot, idempotent_power, label,
+from tempoclass.orbits import (FAST, INSTANT, KINDS, NARROW, SLOW, WIDE,
+                               edge_orbit, edge_orbit_table, export_dot, idempotent_power, label,
                                lyapunov_values, orbit_compose, orbit_element,
                                orbit_one, orbit_to_json, orbit_zero, path_orbit,
                                path_orbit_direct, scc_decomposition, semiring_add,
@@ -53,6 +53,20 @@ def main_cycle_edges(rs):
     d2 = next(e for e in rs.edges if rs.regions[e.src] == main_p
               and rs.regions[e.dst] == main_q)
     return d1, d2
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_edge_orbit_table_aligns_with_one_kind_views(split_corpus, name):
+    """Alignment and consistency: one tuple per kind, in `rs.edges` order, equal
+    to the one-kind views.  All three share `_orbits`, so this is no oracle for
+    the orbits themselves; the a6 examples and the random-path tests are."""
+    rs = split_corpus[name]
+    table = edge_orbit_table(rs)
+    assert set(table) == set(KINDS)
+    for kind in KINDS:
+        assert len(table[kind]) == len(rs.edges)
+        for e, eo in zip(rs.edges, table[kind]):
+            assert eo == edge_orbit(rs, e, kind) == path_orbit_direct(rs, [e], kind)
 
 
 def test_a6_reach_orbits(a6_rs):
