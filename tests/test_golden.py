@@ -1,6 +1,8 @@
-"""Golden `--json classify` reports for the ten corpus automata, both modes.
+"""Golden CLI reports for the ten corpus automata.
 
-The reports are compared byte for byte after zeroing `wallTimeMs` and
+Three reports are pinned: `--json classify` in both modes, the `regionize`
+text, and one `--json orbit --kind f --path <edge>` report per original edge
+name.  They are compared byte for byte after zeroing `wallTimeMs` and
 replacing the input path with the bare file name.  Re-record them with
 `PYTHONPATH=src python tests/test_golden.py` only when a report change is
 intended, and say so in CHANGES.md.
@@ -15,24 +17,53 @@ import pytest
 
 from tempoclass.cli import main
 from tempoclass.corpus import NAMES, SOURCES
+from tempoclass.ta import parse_automaton
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 MODES = ("bfs", "savitch")
+EDGES = [(name, e.name) for name in NAMES
+         for e in parse_automaton(SOURCES[name]).edges]
+
+
+def _stdout(argv: list[str]) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) in (0, 1, 2)
+    return out.getvalue()
+
+
+def _normalised_json(path: Path, argv: list[str]) -> str:
+    report = json.loads(_stdout(argv))
+    report["input"]["path"] = path.name
+    for stats in (report["stats"], report["result"].get("stats", {})):
+        if "wallTimeMs" in stats:
+            stats["wallTimeMs"] = 0
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def normalised_report(path: Path, mode: str) -> str:
-    out = io.StringIO()
-    with redirect_stdout(out):
-        main(["--json", "classify", str(path), "--mode", mode])
-    report = json.loads(out.getvalue())
-    report["input"]["path"] = path.name
-    for stats in (report["stats"], report["result"]["stats"]):
-        stats["wallTimeMs"] = 0
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return _normalised_json(path, ["--json", "classify", str(path), "--mode", mode])
+
+
+def orbit_report(path: Path, edge: str) -> str:
+    return _normalised_json(path, ["--json", "orbit", str(path), "--kind", "f",
+                                   "--path", edge])
+
+
+def regionize_text(path: Path) -> str:
+    return _stdout(["regionize", str(path)])
 
 
 def golden_path(name: str, mode: str) -> Path:
     return GOLDEN_DIR / f"classify_{mode}_{name}.json"
+
+
+def orbit_golden_path(name: str, edge: str) -> Path:
+    return GOLDEN_DIR / f"orbit_f_{name}_{edge}.json"
+
+
+def regionize_golden_path(name: str) -> Path:
+    return GOLDEN_DIR / f"regionize_{name}.txt"
 
 
 def write_source(directory: Path, name: str) -> Path:
@@ -48,6 +79,18 @@ def test_classify_report_matches_golden(tmp_path, name, mode):
     assert got == golden_path(name, mode).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_regionize_text_matches_golden(tmp_path, name):
+    got = regionize_text(write_source(tmp_path, name))
+    assert got == regionize_golden_path(name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, edge", EDGES)
+def test_orbit_report_matches_golden(tmp_path, name, edge):
+    got = orbit_report(write_source(tmp_path, name), edge)
+    assert got == orbit_golden_path(name, edge).read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -58,3 +101,9 @@ if __name__ == "__main__":
             for mode in MODES:
                 golden_path(name, mode).write_text(normalised_report(src, mode),
                                                    encoding="utf-8")
+            regionize_golden_path(name).write_text(regionize_text(src),
+                                                   encoding="utf-8")
+        for name, edge in EDGES:
+            src = write_source(Path(tmp), name)
+            orbit_golden_path(name, edge).write_text(orbit_report(src, edge),
+                                                     encoding="utf-8")
