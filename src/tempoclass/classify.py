@@ -29,10 +29,8 @@ from typing import Optional
 
 from .orbits import (FAST, INSTANT, SLOW, WIDE, EdgeOrbitTable, OrbitElement,
                      edge_orbit_table, orbit_compose, orbit_one)
-from .splitting import RegionSplitAutomaton, region_split
+from .splitting import DEFAULT_CAP, RegionSplitAutomaton, region_split
 from .ta import TAError, TimedAutomaton
-
-DEFAULT_CAP = 10 ** 6
 
 
 def saturation_cap(flag_value: Optional[int] = None) -> int:
@@ -319,9 +317,10 @@ class ClassificationError(TAError):
 
 
 def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Verdict:
-    """Region-split, run both structural checks, attach the fatness verdict."""
+    """Region-split, run both structural checks, attach the fatness verdict.
+    `cap` bounds region splitting as well as each orbit monoid."""
     t0 = time.monotonic()
-    rsta = a if isinstance(a, RegionSplitAutomaton) else region_split(a)
+    rsta = a if isinstance(a, RegionSplitAutomaton) else region_split(a, cap)
     # Every kind's edge orbits come from one table.  bfs saturates every kind
     # up front: the sizes are reported and p feeds the thickness check;
     # savitch leaves p to the obesity check.

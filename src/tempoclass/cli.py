@@ -288,7 +288,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="meager / normal / obese verdict")
     p.add_argument("file")
     p.add_argument("--cap", type=int, default=None,
-                   help="orbit saturation cap (env TEMPOCLASS_CAP overrides)")
+                   help="cap on orbit saturation and region splitting "
+                   "(env TEMPOCLASS_CAP overrides)")
     p.add_argument("--mode", choices=("bfs", "savitch"), default="bfs")
     p.set_defaults(func=cmd_classify)
 

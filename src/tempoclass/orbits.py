@@ -9,6 +9,13 @@ Three abstractions of a path, all matrices indexed by source-region vertices
 
 Entries compose through semiring matrix products, which agrees with whole-path
 evaluation because the per-edge languages concatenate exactly.
+
+An orbit element is a slotted value object, immutable by convention, whose
+hash is computed once when it is built.  Row i of a product A·B depends only
+on row i of A and on B, so the right factor B keeps the product rows it has
+computed, keyed by the row of A, for as long as the element lives.
+Saturation's right factors are the edge orbits of one table, so their row
+products die with it.
 """
 
 from __future__ import annotations
@@ -62,13 +69,36 @@ def label(kind: str, value: int) -> str:
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
 class OrbitElement:
-    kind: str
-    tag: str                      # "zero" | "one" | "elem"
-    src: Optional[str] = None
-    matrix: Optional[Matrix] = None
-    dst: Optional[str] = None
+    """One orbit-monoid value: the zero, the unit, or a matrix from the
+    vertices of `src` to those of `dst`.  Nothing may assign to it after
+    `__init__`: its hash and its row products depend on the fields."""
+
+    __slots__ = ("kind", "tag", "src", "matrix", "dst", "_hash", "_row_products")
+
+    def __init__(self, kind: str, tag: str, src: Optional[str] = None,
+                 matrix: Optional[Matrix] = None, dst: Optional[str] = None):
+        self.kind = kind
+        self.tag = tag                # "zero" | "one" | "elem"
+        self.src = src
+        self.matrix = matrix
+        self.dst = dst
+        self._hash = hash((kind, tag, src, matrix, dst))
+        self._row_products = None     # row of a left factor -> product row
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not OrbitElement:
+            return NotImplemented
+        return (self._hash == other._hash and self.matrix == other.matrix
+                and self.src == other.src and self.dst == other.dst
+                and self.tag == other.tag and self.kind == other.kind)
+
+    def __repr__(self) -> str:
+        return (f"OrbitElement(kind={self.kind!r}, tag={self.tag!r}, "
+                f"src={self.src!r}, matrix={self.matrix!r}, dst={self.dst!r})")
 
     @property
     def is_zero(self) -> bool:
@@ -131,25 +161,33 @@ def orbit_compose(e1: OrbitElement, e2: OrbitElement) -> OrbitElement:
     assert a is not None and b is not None
     if len(a[0]) != len(b):
         return orbit_zero(kind)
-    add, mul = _TABLES[kind]
-    cols = range(len(b[0]))
+    # row i of a.b depends only on row i of a, so b keeps its row products
+    memo = e2._row_products
+    if memo is None:
+        memo = e2._row_products = {}
     rows = []
-    nonzero = False
-    # zero terms are skipped: 0 is the additive unit and absorbs products
     for a_row in a:
-        row = [0] * len(cols)
-        for x, b_row in zip(a_row, b):
-            if x:
-                mul_x = mul[x]
-                for j in cols:
-                    y = b_row[j]
-                    if y:
-                        row[j] = add[row[j]][mul_x[y]]
-        nonzero = nonzero or any(row)
-        rows.append(tuple(row))
-    if not nonzero:
+        row = memo.get(a_row)
+        if row is None:
+            row = memo[a_row] = _row_times(kind, a_row, b)
+        rows.append(row)
+    if not any(map(any, rows)):
         return orbit_zero(kind)
     return OrbitElement(kind, "elem", e1.src, tuple(rows), e2.dst)
+
+
+def _row_times(kind: str, a_row: tuple[int, ...], b: Matrix) -> tuple[int, ...]:
+    """Semiring product of a row vector and a matrix; zero terms are skipped
+    since 0 is the additive unit and absorbs products."""
+    add, mul = _TABLES[kind]
+    row = [0] * len(b[0])
+    for x, b_row in zip(a_row, b):
+        if x:
+            mul_x = mul[x]
+            for j, y in enumerate(b_row):
+                if y:
+                    row[j] = add[row[j]][mul_x[y]]
+    return tuple(row)
 
 
 def _entry_value(kind: str, lc: LanguageClass) -> int:

@@ -82,9 +82,22 @@ def _resolve_large(atoms, large: frozenset[str]):
 
 _Key = tuple[str, frozenset[str], Region]
 
+DEFAULT_CAP = 10 ** 6
 
-def region_split(a: TimedAutomaton) -> RegionSplitAutomaton:
-    """Language-preserving region-split form of a deterministic automaton."""
+
+class RegionSplitCapExceeded(TAError):
+    def __init__(self, cap: int, detail: str):
+        super().__init__(f"region splitting exceeded the cap of {cap}: {detail}")
+        self.cap = cap
+
+
+def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutomaton:
+    """Language-preserving region-split form of a deterministic automaton.
+
+    `cap` bounds both the length of any time-successor chain and the number
+    of region-split locations; `RegionSplitCapExceeded` is raised before
+    either grows past it.
+    """
     report = check_deterministic(a)
     if not report.deterministic:
         raise TAError("region_split requires a deterministic automaton")
@@ -96,6 +109,13 @@ def region_split(a: TimedAutomaton) -> RegionSplitAutomaton:
         raise TAError("initial clock values above the max constant are not supported")
     if not a.starting_ok(q0, x0):
         raise TAError("initial vector violates the starting constraint")
+
+    # each delay step moves some bounded clock one stage (integer or open
+    # interval) closer to leaving [0, M], and each clock has 2(M+1) stages
+    chain_bound = 2 * len(a.clocks) * (bound + 1) + 1
+    if chain_bound > cap:
+        raise RegionSplitCapExceeded(
+            cap, f"a time-successor chain may hold up to {chain_bound} regions")
 
     clock_list = list(a.clocks)
     start_key: _Key = (q0, frozenset(), region_of(x0, bound))
@@ -119,12 +139,13 @@ def region_split(a: TimedAutomaton) -> RegionSplitAutomaton:
         key = queue.popleft()
         base, large, region = key
         out = []
+        chain = time_successor_chain(region)
         for e in a.edges_from(base):
             kept = _resolve_large(e.guard.atoms, large)
             if kept is None:
                 continue
             resets = frozenset(e.resets)
-            for fired in time_successor_chain(region):
+            for fired in chain:
                 if not _guard_on(fired, kept, clock_list):
                     continue
                 newly = frozenset(
@@ -141,6 +162,9 @@ def region_split(a: TimedAutomaton) -> RegionSplitAutomaton:
                 key2 = (e.dst, large2, target_region)
                 out.append((e, fired, resets2, key2))
                 if key2 not in seen:
+                    if len(seen) >= cap:
+                        raise RegionSplitCapExceeded(
+                            cap, "more region-split locations than the cap")
                     seen.add(key2)
                     order.append(key2)
                     queue.append(key2)

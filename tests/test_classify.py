@@ -10,12 +10,13 @@ from tempoclass.classify import (SaturationCapExceeded, _level_sets, classify,
                                  is_structurally_meager, is_structurally_obese,
                                  is_thick, saturate, structurally_zeno)
 from tempoclass.corpus import NAMES, automaton
-from tempoclass.orbits import (FAST, INSTANT, KINDS, SLOW, WIDE, edge_orbit,
+from tempoclass.orbits import (FAST, INSTANT, KINDS, SLOW, WIDE, OrbitElement,
+                               edge_orbit, edge_orbit_table, orbit_compose,
                                orbit_element, orbit_one, orbit_zero,
                                path_orbit, semiring_add, semiring_mul)
 from tempoclass.regions import region_of
 from conftest import random_automaton
-from tempoclass.splitting import region_split
+from tempoclass.splitting import RegionSplitCapExceeded, region_split
 from tempoclass.ta import check_deterministic, parse_automaton
 
 
@@ -117,6 +118,67 @@ def test_saturate_matches_all_edge_reference(split_corpus, name):
             list(_reference_saturate(rs, kind).items()), kind
 
 
+@pytest.mark.parametrize("name", [*NAMES, "fam_3_2"])
+def test_compose_matches_reference_product(split_corpus, monkeypatch, name):
+    rs = (region_split(parse_automaton(FAM_3_2)) if name == "fam_3_2"
+          else split_corpus[name])
+    orbits = importlib.import_module("tempoclass.orbits")
+    real = orbits._row_times
+    rows_computed = [0]
+
+    def counting(*args):
+        rows_computed[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(orbits, "_row_times", counting)
+    for kind in KINDS:
+        elements = list(saturate(rs, kind))
+        rows_computed[0] = distinct_rows = 0
+        # a fresh table, each entry the right factor of every element in turn
+        for eo in edge_orbit_table(rs)[kind]:
+            rows = set()
+            for x in elements:
+                assert orbit_compose(x, eo) == _reference_product(x, eo), \
+                    (kind, x, eo)
+                if x.tag == eo.tag == "elem" and x.dst == eo.src:
+                    rows.update(x.matrix)
+            distinct_rows += len(rows)
+        # one row-times-matrix product per distinct (row, right factor)
+        assert rows_computed[0] == distinct_rows, kind
+
+
+def test_orbit_element_value_semantics(split_corpus):
+    rs = split_corpus["a8"]
+    for kind in KINDS:
+        assert orbit_zero(kind) == orbit_zero(kind)
+        assert orbit_one(kind) == orbit_one(kind) != orbit_zero(kind)
+        table = edge_orbit_table(rs)
+        reach = saturate(rs, kind, table=table)
+        for x in reach:
+            # separately built equal elements: equal, same hash, one dict key
+            copy = OrbitElement(x.kind, x.tag, x.src, x.matrix, x.dst)
+            rebuilt = (orbit_element(kind, x.src, [list(r) for r in x.matrix],
+                                     x.dst) if x.tag == "elem" else copy)
+            for other in (copy, rebuilt):
+                assert other == x and hash(other) == hash(x)
+                assert len({x: 1, other: 2}) == 1
+            assert hash(x) == hash((x.kind, x.tag, x.src, x.matrix, x.dst))
+            assert x != (x.kind, x.tag, x.src, x.matrix, x.dst)
+        for eo in table[kind]:
+            if eo.is_zero:
+                continue
+            # eo has been a right factor of saturation and keeps row products
+            assert orbit_compose(orbit_one(kind), eo) is eo
+            fresh = orbit_element(kind, eo.src, eo.matrix, eo.dst)
+            assert eo == fresh and fresh == eo and hash(eo) == hash(fresh)
+            assert eo in reach and reach[fresh] == reach[eo]
+            assert repr(eo) == (
+                f"OrbitElement(kind={kind!r}, tag='elem', src={eo.src!r}, "
+                f"matrix={eo.matrix!r}, dst={eo.dst!r})")
+            other_dst = orbit_element(kind, eo.src, eo.matrix, eo.src + "'")
+            assert eo != other_dst
+
+
 @pytest.mark.parametrize("mode", ["bfs", "savitch"])
 def test_classify_builds_edge_languages_once(split_corpus, monkeypatch, mode):
     # the package's classify() shadows the submodule name, so modules are
@@ -142,6 +204,51 @@ def test_saturation_cap():
     with pytest.raises(SaturationCapExceeded) as exc:
         saturate(rs, "f", cap=5)
     assert len(exc.value.partial) >= 5
+
+
+RING3 = """\
+automaton ring3_zx
+clocks x y z
+alphabet a b c
+location q initial
+location p accepting
+location r accepting
+edge q -> p on a guard x < 2 reset x
+edge p -> r on b guard y > 1, y < 2 reset y
+edge r -> q on c guard z < 2, x < 1 reset z
+"""
+
+BIG_CONSTANT = """\
+automaton big
+clocks x
+alphabet a
+location q initial accepting
+edge q -> q on a guard x < 99999999999
+"""
+
+
+def test_region_split_cap(monkeypatch):
+    splitting = importlib.import_module("tempoclass.splitting")
+    real = splitting.time_successor_chain
+    longest = [0]
+
+    def measured(region):
+        chain = real(region)
+        longest[0] = max(longest[0], len(chain))
+        return chain
+
+    monkeypatch.setattr(splitting, "time_successor_chain", measured)
+    with pytest.raises(RegionSplitCapExceeded, match="cap of 1000000"):
+        classify(parse_automaton(BIG_CONSTANT))
+    assert longest[0] == 0
+    ring = parse_automaton(RING3)
+    locations = len(region_split(ring).locations)
+    assert longest[0] <= 19 < locations
+    for cap in (19, locations - 1):
+        with pytest.raises(RegionSplitCapExceeded, match=f"cap of {cap}:"):
+            region_split(ring, cap)
+    with pytest.raises(RegionSplitCapExceeded, match="cap of 18:"):
+        classify(ring, cap=18)
 
 
 def test_level_sets_membership(split_corpus):

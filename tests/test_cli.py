@@ -153,6 +153,14 @@ starting q ⌊z⌋=0, frac(z)=0
 """
 
 
+BIG_CONSTANT = """automaton big
+clocks x
+alphabet a
+location q initial accepting
+edge q -> q on a guard x < 99999999999
+"""
+
+
 @pytest.mark.parametrize("env, files, argv, message", [
     pytest.param({"TEMPOCLASS_CAP": "abc"}, {}, ["classify", "a6.ta"],
                  "TEMPOCLASS_CAP must be an integer", id="cap-env-not-integer"),
@@ -170,6 +178,9 @@ starting q ⌊z⌋=0, frac(z)=0
                  "bad word file", id="word-line-without-date"),
     pytest.param({}, {"s.ta": STARTING_UNKNOWN_CLOCK}, ["validate", "s.ta"],
                  "unknown clock", id="starting-unknown-clock"),
+    pytest.param({}, {"big.ta": BIG_CONSTANT}, ["--json", "classify", "big.ta"],
+                 "region splitting exceeded the cap of 1000000",
+                 id="region-split-over-cap"),
 ])
 def test_bad_input_exits_with_message(capsys, corpus_dir, monkeypatch, env,
                                       files, argv, message):
