@@ -161,7 +161,8 @@ def orbit_compose(e1: OrbitElement, e2: OrbitElement) -> OrbitElement:
     assert a is not None and b is not None
     if len(a[0]) != len(b):
         return orbit_zero(kind)
-    # row i of a.b depends only on row i of a, so b keeps its row products
+    # row i of a.b depends only on row i of a, so b keeps its row products;
+    # concurrent callers can at worst lose an entry, never corrupt one
     memo = e2._row_products
     if memo is None:
         memo = e2._row_products = {}

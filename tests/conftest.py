@@ -10,6 +10,16 @@ from tempoclass.splitting import region_split
 from tempoclass.ta import ClockConstraint, Edge, Guard, TimedAutomaton
 
 
+# one clock whose constant makes a time-successor chain of ~2 * 10^11 regions
+BIG_CONSTANT = """\
+automaton big
+clocks x
+alphabet a
+location q initial accepting
+edge q -> q on a guard x < 99999999999
+"""
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return {name: automaton(name) for name in NAMES}

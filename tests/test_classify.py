@@ -15,7 +15,7 @@ from tempoclass.orbits import (FAST, INSTANT, KINDS, SLOW, WIDE, OrbitElement,
                                orbit_element, orbit_one, orbit_zero,
                                path_orbit, semiring_add, semiring_mul)
 from tempoclass.regions import region_of
-from conftest import random_automaton
+from conftest import BIG_CONSTANT, random_automaton
 from tempoclass.splitting import RegionSplitCapExceeded, region_split
 from tempoclass.ta import check_deterministic, parse_automaton
 
@@ -217,15 +217,6 @@ edge q -> p on a guard x < 2 reset x
 edge p -> r on b guard y > 1, y < 2 reset y
 edge r -> q on c guard z < 2, x < 1 reset z
 """
-
-BIG_CONSTANT = """\
-automaton big
-clocks x
-alphabet a
-location q initial accepting
-edge q -> q on a guard x < 99999999999
-"""
-
 
 def test_region_split_cap(monkeypatch):
     splitting = importlib.import_module("tempoclass.splitting")

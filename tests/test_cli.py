@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from conftest import BIG_CONSTANT
 from tempoclass.cli import main
 from tempoclass.corpus import NAMES, SOURCES
 
@@ -150,14 +151,6 @@ clocks x
 alphabet a
 location q initial x=0 accepting
 starting q ⌊z⌋=0, frac(z)=0
-"""
-
-
-BIG_CONSTANT = """automaton big
-clocks x
-alphabet a
-location q initial accepting
-edge q -> q on a guard x < 99999999999
 """
 
 
