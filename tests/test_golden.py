@@ -1,9 +1,10 @@
 """Golden CLI reports for the ten corpus automata.
 
-Three reports are pinned: `--json classify` in both modes, the `regionize`
-text, and one `--json orbit --kind f --path <edge>` report per original edge
-name.  They are compared byte for byte after zeroing `wallTimeMs` and
-replacing the input path with the bare file name.  Re-record them with
+Four reports are pinned: `--json classify` in both modes, the `regionize`
+text, one `--json orbit --kind f --path <edge>` report per original edge
+name, and the `bandwidth` CSV with its fit line on a few short slices.  They
+are compared byte for byte after zeroing `wallTimeMs` and replacing the input
+path with the bare file name.  Re-record them with
 `PYTHONPATH=src python tests/test_golden.py` only when a report change is
 intended, and say so in CHANGES.md.
 """
@@ -23,6 +24,14 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 MODES = ("bfs", "savitch")
 EDGES = [(name, e.name) for name in NAMES
          for e in parse_automaton(SOURCES[name]).edges]
+# case -> (automaton, bandwidth arguments); a4's two-sided guards and a6's
+# one-sided ones, and eps/grid ratios that are not integers on the 1/16 grid
+BANDWIDTH = {
+    "a4": ("a4", ["--T", "10", "--eps", "1/2,1/4,1/8"]),
+    "a6": ("a6", ["--T", "2,3", "--eps", "1/2,1/4,1/8"]),
+    "a6_grid16": ("a6", ["--T", "3/2,2", "--grid", "1/16",
+                         "--eps", "1/2,1/3,1/5"]),
+}
 
 
 def _stdout(argv: list[str]) -> str:
@@ -54,6 +63,10 @@ def regionize_text(path: Path) -> str:
     return _stdout(["regionize", str(path)])
 
 
+def bandwidth_text(path: Path, args: list[str]) -> str:
+    return _stdout(["bandwidth", str(path), *args])
+
+
 def golden_path(name: str, mode: str) -> Path:
     return GOLDEN_DIR / f"classify_{mode}_{name}.json"
 
@@ -64,6 +77,10 @@ def orbit_golden_path(name: str, edge: str) -> Path:
 
 def regionize_golden_path(name: str) -> Path:
     return GOLDEN_DIR / f"regionize_{name}.txt"
+
+
+def bandwidth_golden_path(case: str) -> Path:
+    return GOLDEN_DIR / f"bandwidth_{case}.csv"
 
 
 def write_source(directory: Path, name: str) -> Path:
@@ -91,6 +108,13 @@ def test_orbit_report_matches_golden(tmp_path, name, edge):
     assert got == orbit_golden_path(name, edge).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("case", sorted(BANDWIDTH))
+def test_bandwidth_csv_matches_golden(tmp_path, case):
+    name, args = BANDWIDTH[case]
+    got = bandwidth_text(write_source(tmp_path, name), args)
+    assert got == bandwidth_golden_path(case).read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -107,3 +131,7 @@ if __name__ == "__main__":
             src = write_source(Path(tmp), name)
             orbit_golden_path(name, edge).write_text(orbit_report(src, edge),
                                                      encoding="utf-8")
+        for case, (name, args) in BANDWIDTH.items():
+            src = write_source(Path(tmp), name)
+            bandwidth_golden_path(case).write_text(bandwidth_text(src, args),
+                                                   encoding="utf-8")
