@@ -2,7 +2,8 @@
 
 The enumerator walks the concrete semantics depth-first over a date grid,
 capping per-step delays at the max constant plus one (longer waits move events
-later without adding choices) and collapsing words that differ only in the
+later without adding choices), trying only the delays inside some out-edge's
+guard window, and collapsing words that differ only in the
 order or multiplicity of simultaneous events (the pseudo-metric cannot tell
 them apart).  Capacity and entropy estimates come from the greedy
 separated-set size over the slice.
@@ -11,12 +12,13 @@ separated-set size over the slice.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .ta import TAError
-from .words import INF, TimedWord, word_sort_key
+from .words import INF, TimedWord
 
 DEFAULT_WORD_CAP = 400_000
 
@@ -72,8 +74,12 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
     for e in a.edges:
         atoms = tuple((a.clock_index(x.clock), ops[x.relation], x.bound * scale)
                       for x in e.guard.atoms)
+        # the guard holds after a delay k iff clocks[i] + k >= b for every
+        # (i, b) in lower and clocks[i] + k <= b for every (i, b) in upper
+        lower = tuple((i, b + 1 if op == 2 else b) for i, op, b in atoms if op >= 2)
+        upper = tuple((i, b - 1 if op == 0 else b) for i, op, b in atoms if op < 2)
         resets = frozenset(a.clock_index(c) for c in e.resets)
-        compiled[e.name] = (e, atoms, resets)
+        compiled[e.name] = (e, lower, upper, resets)
     out_edges = {q: [compiled[e.name] for e in a.edges_from(q)] for q in a.locations}
     check_start = bool(getattr(a, "regions", None)) or bool(a.starting)
     accepting = {}
@@ -120,12 +126,24 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
         budget[0] -= 1
         if budget[0] < 0:
             raise EnumerationCapExceeded(cap, len(words))
-        edges_here = out_edges[loc]
-        for k in range(min(max_delay, horizon - date) + 1):
+        # each edge's window [lo, hi] of delays that satisfy its guard
+        longest = min(max_delay, horizon - date)
+        windows = []
+        for edge, lower, upper, resets in out_edges[loc]:
+            lo, hi = 0, longest
+            for i, b in lower:
+                if b - clocks[i] > lo:
+                    lo = b - clocks[i]
+            for i, b in upper:
+                if b - clocks[i] < hi:
+                    hi = b - clocks[i]
+            if lo <= hi:
+                windows.append((lo, hi, edge, resets))
+        for k in _delays(windows):
             t = date + k
             tested = tuple(x + k for x in clocks) if k else clocks
-            for edge, atoms, resets in edges_here:
-                if not atoms_hold(atoms, tested):
+            for lo, hi, edge, resets in windows:
+                if not lo <= k <= hi:
                     continue
                 landed = tuple(0 if i in resets else v
                                for i, v in enumerate(tested)) if resets else tested
@@ -149,28 +167,37 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
 
     explore(start.location, start_clocks, 0, [],
             {(start.location, start_clocks, frozenset())}, frozenset())
-    ordered = sorted(
-        (TimedWord(tuple((l, Fraction(t, scale)) for l, t in w)) for w in words.values()),
-        key=word_sort_key)
-    return ordered
+    # the canonical order of word_sort_key, on integer dates: scaling keeps
+    # the order, and no two words share a key
+    ordered = sorted((w[-1][1] if w else 0, len(w), w) for w in words.values())
+    dates = [Fraction(t, scale) for t in range(horizon + 1)]
+    return [TimedWord(tuple((l, dates[t]) for l, t in w)) for _, _, w in ordered]
 
 
-# -- fast integer-scaled distance for the greedy passes ----------------------------
+def _delays(windows):
+    """The delays lying in at least one (lo, hi, ...) window, ascending."""
+    nxt = 0
+    for lo, hi in sorted(w[:2] for w in windows):
+        yield from range(max(nxt, lo), hi + 1)
+        nxt = max(nxt, hi + 1)
 
 
-def _int_form(w: TimedWord, grid: Fraction) -> dict[str, tuple[int, ...]]:
-    by_letter: dict[str, list[int]] = {}
-    for letter, t in w.events:
-        by_letter.setdefault(letter, []).append(int(t / grid))
-    return {letter: tuple(ds) for letter, ds in by_letter.items()}
+# -- integer-scaled distance for the greedy pass ------------------------------------
 
 
-def _directed_gap(w: dict, v: dict, cutoff) -> bool:
-    """True when the directed distance exceeds the cutoff (grid units)."""
+def _grid_units(t: Fraction, grid: Fraction) -> int:
+    num = t.numerator * grid.denominator
+    den = t.denominator * grid.numerator
+    if num % den:
+        raise TAError("word dates must lie on the grid")
+    return num // den
+
+
+def _directed_gap(w: dict, v: dict, cutoff: int) -> bool:
+    """True when the directed distance exceeds the cutoff (grid units); the
+    two words have the same letter set."""
     for letter, dates in w.items():
-        other = v.get(letter)
-        if other is None:
-            return True
+        other = v[letter]
         j = 0
         last = len(other) - 1
         for t in dates:
@@ -186,7 +213,7 @@ def _directed_gap(w: dict, v: dict, cutoff) -> bool:
     return False
 
 
-def _within(w: dict, v: dict, cutoff) -> bool:
+def _within(w: dict, v: dict, cutoff: int) -> bool:
     return not (_directed_gap(w, v, cutoff) or _directed_gap(v, w, cutoff))
 
 
@@ -219,7 +246,13 @@ def estimate_capacity(a, duration: Fraction, eps: Fraction,
                       cap: int = DEFAULT_WORD_CAP,
                       words: Optional[Sequence[TimedWord]] = None) -> CapacityEstimate:
     """Greedy separated-set size over the grid slice; its log2 bounds the
-    eps-capacity from below and the eps-entropy from above."""
+    eps-capacity from below and the eps-entropy from above.
+
+    `words` replaces the enumeration of the slice.  It may come in any order
+    (the greedy runs in `word_sort_key` order, so the size equals that of
+    `words.greedy_separated(words, eps)`), but every date must lie on the
+    grid; `TAError` is raised otherwise.
+    """
     eps = _positive_eps(eps)
     grid = Fraction(grid) if grid is not None else eps / 2
     if grid > eps / 2:
@@ -228,31 +261,42 @@ def estimate_capacity(a, duration: Fraction, eps: Fraction,
         words = enumerate_words(a, duration, grid, cap)
     if not words:
         return CapacityEstimate(0, 0, None)
-    cutoff = eps / grid  # distances are in grid units
-    forms = [_int_form(w, grid) for w in words]
-    durations = [int(w.duration / grid) for w in words]  # non-decreasing
-    chosen = _greedy(forms, durations, cutoff)
-    return CapacityEstimate(len(words), len(chosen), math.log2(len(chosen)))
+    # distances between grid words are whole grid units, and an integer
+    # exceeds eps/grid exactly when it exceeds its floor
+    cutoff = math.floor(eps / grid)
+    keyed = []
+    for w in words:
+        events = tuple((letter, _grid_units(t, grid)) for letter, t in w.events)
+        keyed.append((events[-1][1] if events else 0, len(events), events))
+    keyed.sort()
+    size = _greedy(keyed, cutoff)
+    return CapacityEstimate(len(words), size, math.log2(size))
 
 
-def _greedy(forms, durations, cutoff) -> list:
-    """Keep each word farther than the cutoff from everything kept before
-    (insertion order).  Two words within the cutoff necessarily have durations
-    within the cutoff (the later final event must find a match), so only a
-    duration window of kept members needs scanning.
+def _greedy(keyed, cutoff: int) -> int:
+    """Size of the set that keeps each word farther than the cutoff from
+    everything kept before, in key order.  Words at finite distance have the
+    same letter set, and two words within the cutoff have durations within
+    it (the later final event must find a match), so only the kept words of
+    one letter set in a trailing duration window need scanning.  They are
+    scanned latest first, where a near word is likelier.
     """
-    from bisect import bisect_left, bisect_right
-
-    selected: list = []
-    sel_dur: list[int] = []
-    for f, d in zip(forms, durations):
-        lo = bisect_left(sel_dur, d - cutoff)
-        hi = bisect_right(sel_dur, d + cutoff)
-        near = any(_within(f, selected[i], cutoff) for i in range(lo, hi))
-        if not near:
-            selected.append(f)
-            sel_dur.append(d)
-    return selected
+    kept: dict[frozenset, tuple[list, list]] = {}
+    size = 0
+    for duration, _, events in keyed:
+        form: dict[str, list[int]] = {}
+        for letter, t in events:
+            form.setdefault(letter, []).append(t)
+        forms, durations = kept.setdefault(frozenset(form), ([], []))
+        window = range(bisect_left(durations, duration - cutoff), len(forms))
+        for i in reversed(window):
+            if _within(form, forms[i], cutoff):
+                break
+        else:
+            forms.append(form)
+            durations.append(duration)
+            size += 1
+    return size
 
 
 # -- curves and asymptotic fits ------------------------------------------------------

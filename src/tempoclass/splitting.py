@@ -94,9 +94,10 @@ class RegionSplitCapExceeded(TAError):
 def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutomaton:
     """Language-preserving region-split form of a deterministic automaton.
 
-    `cap` bounds both the length of any time-successor chain and the number
-    of region-split locations; `RegionSplitCapExceeded` is raised before
-    either grows past it.
+    `cap` bounds the length of any time-successor chain, the number of
+    regions in all the chains built, and the number of region-split
+    locations; `RegionSplitCapExceeded` is raised once any of them passes it
+    (a chain that would be too long is never built).
     """
     report = check_deterministic(a)
     if not report.deterministic:
@@ -135,11 +136,16 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
     order: list[_Key] = [start_key]
     queue = deque([start_key])
     seen = {start_key}
+    built = 0  # regions in the time-successor chains built so far
     while queue:
         key = queue.popleft()
         base, large, region = key
         out = []
         chain = time_successor_chain(region)
+        built += len(chain)
+        if built > cap:
+            raise RegionSplitCapExceeded(
+                cap, "more regions in time-successor chains than the cap")
         for e in a.edges_from(base):
             kept = _resolve_large(e.guard.atoms, large)
             if kept is None:

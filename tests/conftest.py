@@ -19,6 +19,16 @@ location q initial accepting
 edge q -> q on a guard x < 99999999999
 """
 
+# every chain holds at most 85 regions, but the 40 locations that resetting y
+# along the first chain creates build 2,100 regions between them
+MANY_CHAINS = """\
+automaton chains
+clocks x y
+alphabet a
+location q initial accepting
+edge q -> q on a guard x < 20 reset y
+"""
+
 
 @pytest.fixture(scope="session")
 def corpus():

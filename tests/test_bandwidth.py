@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from tempoclass.bandwidth import (CurveRow, EnumerationCapExceeded,
                                   estimate_capacity, fit_class)
 from tempoclass.corpus import automaton
 from tempoclass.ta import TAError, parse_automaton, step
+from tempoclass.words import greedy_separated, timed_word
 
 
 def test_a5_integer_grid_enumeration():
@@ -95,14 +97,14 @@ def _accepted_prefix(a, events):
     return any(a.is_accepting(s.location, s.clocks) for s in states)
 
 
-@pytest.mark.parametrize("name", ["a1", "a5", "a6", "a8"])
+@pytest.mark.parametrize("name", ["a1", "a5", "a6", "a8", "a4"])
 def test_enumeration_sound_and_complete_up_to_kernel(name):
     """Soundness: every enumerated word replays.  Completeness: every accepted
     grid sequence of at most 4 events has an enumerated word with the same
     event set (words repeating events at one date are identified by the
-    pseudo-metric)."""
+    pseudo-metric).  a4 accepts nothing before 3 and needs a longer slice."""
     a = automaton(name)
-    duration, grid = F(3), F(1, 2)
+    duration, grid = (F(8) if name == "a4" else F(3)), F(1, 2)
     words = enumerate_words(a, duration, grid)
     short = [w for w in words if len(w) <= 4]
     for w in short:
@@ -115,6 +117,23 @@ def test_enumeration_sound_and_complete_up_to_kernel(name):
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
         enumerate_words(automaton("a1"), F(4), F(1, 8), cap=500)
+
+
+@pytest.mark.parametrize("name, duration, grid, needed, words_at_half", [
+    ("a6", F(2), F(1, 8), 121, 61),
+    ("a4", F(10), F(1, 4), 133, 57),
+    ("a1", F(3, 4), F(1, 8), 62_500, 8_193),
+])
+def test_enumeration_budget(name, duration, grid, needed, words_at_half):
+    """The cap counts search states: `needed` is the smallest cap under which
+    the slice enumerates, and half of it stops with the given word count."""
+    a = automaton(name)
+    enumerate_words(a, duration, grid, cap=needed)
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_words(a, duration, grid, cap=needed - 1)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        enumerate_words(a, duration, grid, cap=needed // 2)
+    assert exc.value.words_so_far == words_at_half
 
 
 def test_grid_validation():
@@ -134,6 +153,38 @@ def test_capacity_monotone_in_duration_and_eps():
               for e in (F(1, 2), F(1, 4), F(1, 8))]
     for coarse, fine in zip(by_eps, by_eps[1:]):
         assert fine >= coarse - 1
+
+
+@pytest.mark.parametrize("name, duration, grid, epss", [
+    ("a1", F(1, 4), F(1, 16), [F(1, 8), F(1, 3), F(1, 5)]),
+    ("a4", F(10), F(1, 4), [F(1, 2), F(3, 4)]),
+    ("a4", F(6), F(1, 16), [F(1, 3), F(1, 5)]),
+    ("a5", F(20), F(1, 4), [F(1, 2)]),
+    ("a6", F(4), F(1, 8), [F(1, 4)]),
+    ("a6", F(2), F(1, 16), [F(1, 3), F(1, 5)]),
+])
+def test_greedy_matches_exact_distance_oracle(name, duration, grid, epss):
+    """The grid-unit greedy keeps as many words as the exact-distance greedy
+    of `words.greedy_separated`, in whatever order the words come; eps/grid
+    need not be an integer."""
+    a = automaton(name)
+    words = enumerate_words(a, duration, grid)
+    shuffled = list(words)
+    random.Random(7).shuffle(shuffled)
+    for eps in epss:
+        expected = len(greedy_separated(words, eps))
+        for given in (words, shuffled, shuffled + words[:5]):
+            est = estimate_capacity(a, duration, eps, grid, words=given)
+            assert est.separated_size == expected, (eps, len(given))
+
+
+def test_words_off_the_grid_rejected():
+    """Truncating 1/3 and 1/3 + 1/4 + 1/100 to the 1/8 grid would put them
+    within 1/4 of each other, though their distance is 13/50."""
+    words = [timed_word([("a", F(1, 3))]),
+             timed_word([("a", F(1, 3) + F(1, 4) + F(1, 100))])]
+    with pytest.raises(TAError, match="word dates must lie on the grid"):
+        estimate_capacity(automaton("a6"), F(1), F(1, 4), F(1, 8), words=words)
 
 
 def test_empty_language_sentinel():

@@ -15,7 +15,7 @@ from tempoclass.orbits import (FAST, INSTANT, KINDS, SLOW, WIDE, OrbitElement,
                                orbit_element, orbit_one, orbit_zero,
                                path_orbit, semiring_add, semiring_mul)
 from tempoclass.regions import region_of
-from conftest import BIG_CONSTANT, random_automaton
+from conftest import BIG_CONSTANT, MANY_CHAINS, random_automaton
 from tempoclass.splitting import RegionSplitCapExceeded, region_split
 from tempoclass.ta import check_deterministic, parse_automaton
 
@@ -240,6 +240,16 @@ def test_region_split_cap(monkeypatch):
             region_split(ring, cap)
     with pytest.raises(RegionSplitCapExceeded, match="cap of 18:"):
         classify(ring, cap=18)
+
+
+def test_region_split_counts_regions_across_chains():
+    a = parse_automaton(MANY_CHAINS)
+    assert len(region_split(a).locations) == 40
+    with pytest.raises(RegionSplitCapExceeded,
+                       match="cap of 1000: more regions in time-successor chains"):
+        region_split(a, 1000)
+    with pytest.raises(RegionSplitCapExceeded, match="cap of 1000:"):
+        classify(a, cap=1000)
 
 
 def test_level_sets_membership(split_corpus):

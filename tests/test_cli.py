@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from conftest import BIG_CONSTANT
+from conftest import BIG_CONSTANT, MANY_CHAINS
 from tempoclass.cli import main
 from tempoclass.corpus import NAMES, SOURCES
 
@@ -174,6 +174,10 @@ starting q ⌊z⌋=0, frac(z)=0
     pytest.param({}, {"big.ta": BIG_CONSTANT}, ["--json", "classify", "big.ta"],
                  "region splitting exceeded the cap of 1000000",
                  id="region-split-over-cap"),
+    pytest.param({}, {"chains.ta": MANY_CHAINS},
+                 ["classify", "chains.ta", "--cap", "1000"],
+                 "region splitting exceeded the cap of 1000:",
+                 id="region-chains-over-cap"),
 ])
 def test_bad_input_exits_with_message(capsys, corpus_dir, monkeypatch, env,
                                       files, argv, message):
