@@ -167,11 +167,16 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
 
     explore(start.location, start_clocks, 0, [],
             {(start.location, start_clocks, frozenset())}, frozenset())
-    # the canonical order of word_sort_key, on integer dates: scaling keeps
-    # the order, and no two words share a key
-    ordered = sorted((w[-1][1] if w else 0, len(w), w) for w in words.values())
+    # no two event multisets share a key
+    ordered = sorted(words.values(), key=_grid_key)
     dates = [Fraction(t, scale) for t in range(horizon + 1)]
-    return [TimedWord(tuple((l, dates[t]) for l, t in w)) for _, _, w in ordered]
+    return [TimedWord(tuple((l, dates[t]) for l, t in w)) for w in ordered]
+
+
+def _grid_key(events: tuple) -> tuple:
+    """`word_sort_key` of a word whose dates are in grid units (scaling keeps
+    the order)."""
+    return (events[-1][1] if events else 0, len(events), events)
 
 
 def _delays(windows):
@@ -264,11 +269,8 @@ def estimate_capacity(a, duration: Fraction, eps: Fraction,
     # distances between grid words are whole grid units, and an integer
     # exceeds eps/grid exactly when it exceeds its floor
     cutoff = math.floor(eps / grid)
-    keyed = []
-    for w in words:
-        events = tuple((letter, _grid_units(t, grid)) for letter, t in w.events)
-        keyed.append((events[-1][1] if events else 0, len(events), events))
-    keyed.sort()
+    keyed = sorted(_grid_key(tuple((letter, _grid_units(t, grid))
+                                   for letter, t in w.events)) for w in words)
     size = _greedy(keyed, cutoff)
     return CapacityEstimate(len(words), size, math.log2(size))
 

@@ -248,8 +248,6 @@ def test_region_split_counts_regions_across_chains():
     with pytest.raises(RegionSplitCapExceeded,
                        match="cap of 1000: more regions in time-successor chains"):
         region_split(a, 1000)
-    with pytest.raises(RegionSplitCapExceeded, match="cap of 1000:"):
-        classify(a, cap=1000)
 
 
 def test_level_sets_membership(split_corpus):
