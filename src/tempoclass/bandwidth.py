@@ -53,6 +53,10 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
     grid = Fraction(grid)
     duration = Fraction(duration)
     _power_of_two_grid(grid)
+    if duration < 0:
+        raise TAError(f"duration bound must not be negative, got {duration}")
+    if cap < 1:
+        raise TAError(f"word cap must be a positive integer, got {cap}")
     if duration % grid != 0:
         raise TAError("duration bound must be a multiple of the grid")
     if not a.locations:
@@ -68,40 +72,36 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
             raise TAError("clock values must lie on the grid")
         return v.numerator
 
-    # guard atoms as (clock index, op, scaled bound); op 0:'<' 1:'<=' 2:'>' 3:'>='
-    ops = {"<": 0, "<=": 1, ">": 2, ">=": 3}
+    def bounds(guard) -> tuple[tuple, tuple]:
+        # the guard holds at clocks (grid units) iff clocks[i] >= b for every
+        # (i, b) in lower and clocks[i] <= b for every (i, b) in upper
+        lower, upper = [], []
+        for x in guard.atoms:
+            i, b = a.clock_index(x.clock), x.bound * scale
+            if x.relation in (">", ">="):
+                lower.append((i, b + 1 if x.relation == ">" else b))
+            else:
+                upper.append((i, b - 1 if x.relation == "<" else b))
+        return tuple(lower), tuple(upper)
+
     compiled = {}
     for e in a.edges:
-        atoms = tuple((a.clock_index(x.clock), ops[x.relation], x.bound * scale)
-                      for x in e.guard.atoms)
-        # the guard holds after a delay k iff clocks[i] + k >= b for every
-        # (i, b) in lower and clocks[i] + k <= b for every (i, b) in upper
-        lower = tuple((i, b + 1 if op == 2 else b) for i, op, b in atoms if op >= 2)
-        upper = tuple((i, b - 1 if op == 0 else b) for i, op, b in atoms if op < 2)
         resets = frozenset(a.clock_index(c) for c in e.resets)
-        compiled[e.name] = (e, lower, upper, resets)
+        compiled[e.name] = (e, *bounds(e.guard), resets)
     out_edges = {q: [compiled[e.name] for e in a.edges_from(q)] for q in a.locations}
     check_start = bool(getattr(a, "regions", None)) or bool(a.starting)
-    accepting = {}
-    for q in a.locations:
-        g = a.accepting.get(q)
-        if g is not None:
-            accepting[q] = tuple((a.clock_index(x.clock), ops[x.relation],
-                                  x.bound * scale) for x in g.atoms)
+    accepting = {q: bounds(g) for q, g in a.accepting.items()}
 
-    def atoms_hold(atoms, tested) -> bool:
-        for i, op, b in atoms:
-            v = tested[i]
-            if op == 0:
-                if v >= b:
-                    return False
-            elif op == 1:
-                if v > b:
-                    return False
-            elif op == 2:
-                if v <= b:
-                    return False
-            elif v < b:
+    def accepts(loc: str, clocks: tuple) -> bool:
+        acc = accepting.get(loc)
+        if acc is None:
+            return False
+        lower, upper = acc
+        for i, b in lower:
+            if clocks[i] < b:
+                return False
+        for i, b in upper:
+            if clocks[i] > b:
                 return False
         return True
 
@@ -159,8 +159,7 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
                     next_chain = {(edge.dst, landed, frozenset((edge.label,)))}
                     next_letters = frozenset((edge.label,))
                 events.append((edge.label, t))
-                acc = accepting.get(edge.dst)
-                if acc is not None and atoms_hold(acc, landed):
+                if accepts(edge.dst, landed):
                     emit(events)
                 explore(edge.dst, landed, t, events, next_chain, next_letters)
                 events.pop()
@@ -322,27 +321,35 @@ def bandwidth_curve(a, durations: Sequence[Fraction], epss: Sequence[Fraction],
                     grid: Optional[Fraction] = None,
                     cap: int = DEFAULT_WORD_CAP) -> list[CurveRow]:
     """One row per eps at the largest duration whose enumeration stays under
-    the cap; durations are tried in increasing order."""
-    rows: list[CurveRow] = []
-    for eps in epss:
-        eps = _positive_eps(eps)
+    the cap; durations are tried in increasing order.  The eps values that
+    share a grid share each enumerated slice, which is dropped before the
+    next one is enumerated."""
+    ts = sorted(Fraction(t) for t in durations)
+    if ts and ts[0] <= 0:
+        raise TAError(f"duration bound must be positive, got {ts[0]}")
+    epss = [_positive_eps(eps) for eps in epss]
+    by_grid: dict[Fraction, list[int]] = {}
+    for k, eps in enumerate(epss):
         g = Fraction(grid) if grid is not None else eps / 2
-        best: Optional[CurveRow] = None
-        for t in sorted(Fraction(t) for t in durations):
+        by_grid.setdefault(g, []).append(k)
+    best: list[Optional[CurveRow]] = [None] * len(epss)
+    for g, members in by_grid.items():
+        _power_of_two_grid(g)
+        for t in ts:
             if t % g != 0:
-                continue  # this duration does not align with this eps's grid
+                continue  # this duration does not align with this grid
             try:
-                est = estimate_capacity(a, t, eps, g, cap)
+                words = enumerate_words(a, t, g, cap)
             except EnumerationCapExceeded:
                 break
-            if est.empty:
-                continue
-            assert est.capacity_bits is not None and est.entropy_bits is not None
-            best = CurveRow(eps, t, g, est.capacity_bits, est.entropy_bits,
-                            est.word_count)
-        if best is not None:
-            rows.append(best)
-    return rows
+            for k in members:
+                est = estimate_capacity(a, t, epss[k], g, words=words)
+                if not est.empty:
+                    assert est.capacity_bits is not None and est.entropy_bits is not None
+                    best[k] = CurveRow(epss[k], t, g, est.capacity_bits,
+                                       est.entropy_bits, est.word_count)
+            del words
+    return [row for row in best if row is not None]
 
 
 def curve_csv(rows: Sequence[CurveRow]) -> str:

@@ -11,9 +11,10 @@ reachability recursion and keeps no witnesses.  It is the independent oracle:
 the same pattern predicates, the same verdicts, no witnesses.  Thickness
 always uses the bfs reachability monoid.
 
-One `classify` call builds the edge orbits of every kind once, from one
-language class per edge and vertex pair, and both modes build their monoids
-from that table.  On a type-II automaton savitch still builds the
+The region-split automaton builds the edge orbits of every kind once, from
+one language class per edge and vertex pair, and keeps them: every check
+and both modes build their monoids from that table, whether `classify` or
+the caller runs them.  On a type-II automaton savitch still builds the
 reachability monoid twice, as level sets for the obesity check and
 breadth-first for thickness: reusing the bfs monoid in the obesity check
 would give savitch a reachability witness and change its reports.
@@ -27,8 +28,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .orbits import (FAST, INSTANT, SLOW, WIDE, EdgeOrbitTable, OrbitElement,
-                     edge_orbit_table, orbit_compose, orbit_one)
+from .orbits import (FAST, INSTANT, SLOW, WIDE, OrbitElement, orbit_compose,
+                     orbit_one)
 from .splitting import DEFAULT_CAP, RegionSplitAutomaton, region_split
 from .ta import TAError, TimedAutomaton
 
@@ -54,20 +55,16 @@ class SaturationCapExceeded(TAError):
         self.partial = partial
 
 
-def saturate(a: RegionSplitAutomaton, kind: str, cap: int = DEFAULT_CAP, *,
-             table: Optional[EdgeOrbitTable] = None
+def saturate(a: RegionSplitAutomaton, kind: str, cap: int = DEFAULT_CAP
              ) -> dict[OrbitElement, tuple[str, ...]]:
     """All orbits of paths, each mapped to a shortest witness edge sequence.
 
     Breadth-first closure over right-extension by single edges; insertion
     order is by witness length, so stored witnesses are minimal.  The unit
     extends by every edge, any other element by the out-edges of its target
-    location, both in `a.edges` order.  `table` is the edge orbit table of
-    `a`; it is built here when not given.
+    location, both in `a.edges` order.
     """
-    if table is None:
-        table = edge_orbit_table(a)
-    edges = [(e.name, eo) for e, eo in zip(a.edges, table[kind])]
+    edges = [(e.name, eo) for e, eo in zip(a.edges, a.edge_orbits[kind])]
     out_edges: dict[str, list[tuple[str, OrbitElement]]] = {}
     for e, named in zip(a.edges, edges):
         out_edges.setdefault(e.src, []).append(named)
@@ -89,18 +86,15 @@ def saturate(a: RegionSplitAutomaton, kind: str, cap: int = DEFAULT_CAP, *,
 
 
 def _level_sets(a: RegionSplitAutomaton, kind: str, h: int,
-                cap: int = DEFAULT_CAP, *,
-                table: Optional[EdgeOrbitTable] = None) -> set[OrbitElement]:
+                cap: int = DEFAULT_CAP) -> set[OrbitElement]:
     """Orbits of paths of length <= 2**h, by repeated squaring of the level set.
 
     This is the memoized form of the recursive column-doubling search: a path
     of length <= 2**h splits into two halves of length <= 2**(h-1), with the
     unit padding shorter paths.
     """
-    if table is None:
-        table = edge_orbit_table(a)
     level: set[OrbitElement] = {orbit_one(kind)}
-    level.update(eo for eo in table[kind] if not eo.is_zero)
+    level.update(eo for eo in a.edge_orbits[kind] if not eo.is_zero)
     for _ in range(h):
         nxt = set(level)
         for e1 in level:
@@ -146,16 +140,14 @@ class ThickReport:
     witness: Optional[PatternWitness] = None      # all-ones cyclic reach orbit
 
 
-def _reach(a: RegionSplitAutomaton, kind: str, cap: int, mode: str,
-           table: Optional[EdgeOrbitTable] = None
+def _reach(a: RegionSplitAutomaton, kind: str, cap: int, mode: str
            ) -> dict[OrbitElement, Optional[tuple[str, ...]]]:
     """Every path orbit of the kind, mapped to a shortest witness (`bfs`) or to
     None (`savitch`)."""
     if mode == "bfs":
-        return saturate(a, kind, cap, table=table)
+        return saturate(a, kind, cap)
     if mode == "savitch":
-        return dict.fromkeys(_level_sets(a, kind, _doubling_depth(cap), cap,
-                                         table=table))
+        return dict.fromkeys(_level_sets(a, kind, _doubling_depth(cap), cap))
     raise ValueError(f"unknown mode {mode!r}; expected 'bfs' or 'savitch'")
 
 
@@ -179,12 +171,12 @@ def is_structurally_meager(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
 
 
 def is_structurally_obese(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
-                          mode: str = "bfs", reach_d=None, reach_p=None,
-                          table: Optional[EdgeOrbitTable] = None) -> ObeseReport:
+                          mode: str = "bfs", reach_d=None, reach_p=None
+                          ) -> ObeseReport:
     """Fast diagonal (type I), or an instant/instant pair with a slow edge
     between them whose return is realizable on the same region (type II)."""
     if reach_d is None:
-        reach_d = _reach(a, "d", cap, mode, table)
+        reach_d = _reach(a, "d", cap, mode)
     for elem, wit in reach_d.items():
         if elem.cyclic:
             for i, val in enumerate(elem.diagonal()):
@@ -197,7 +189,7 @@ def is_structurally_obese(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
         if not hit:
             continue
         if reach_p is None:
-            reach_p = _reach(a, "p", cap, mode, table)
+            reach_p = _reach(a, "p", cap, mode)
         for (u, v) in hit:
             for other, wit2 in reach_p.items():
                 if other.cyclic and other.src == elem.src and other.entry(v, u) != 0:
@@ -226,28 +218,22 @@ def _doubling_depth(cap: int) -> int:
 
 
 def is_thick(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
-             reach=None, table: Optional[EdgeOrbitTable] = None) -> ThickReport:
+             reach=None) -> ThickReport:
     """Thick iff some cycle's reachability orbit is the complete graph.
 
     A complete orbit on a single vertex only counts when the cycle admits
     several runs (its freedom orbit is wide there); with two or more vertices
-    completeness already forces wide self-loops in the squared cycle.  Its
-    freedom orbit is composed from `table`, the edge orbit table of `a`, which
-    is built here when needed and not given.
+    completeness already forces wide self-loops in the squared cycle.
     """
     if reach is None:
-        if table is None:
-            table = edge_orbit_table(a)
-        reach = saturate(a, "p", cap, table=table)
+        reach = saturate(a, "p", cap)
     f_orbits: Optional[dict[str, OrbitElement]] = None
     for elem, wit in reach.items():
         if not (elem.cyclic and all(v != 0 for row in elem.matrix for v in row)):
             continue
         if len(elem.matrix) == 1:
             if f_orbits is None:
-                if table is None:
-                    table = edge_orbit_table(a)
-                f_orbits = dict(zip((e.name for e in a.edges), table["f"]))
+                f_orbits = dict(zip((e.name for e in a.edges), a.edge_orbits["f"]))
             f = orbit_one("f")
             for name in wit:
                 f = orbit_compose(f, f_orbits[name])
@@ -321,12 +307,10 @@ def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Ve
     `cap` bounds region splitting as well as each orbit monoid."""
     t0 = time.monotonic()
     rsta = a if isinstance(a, RegionSplitAutomaton) else region_split(a, cap)
-    # Every kind's edge orbits come from one table.  bfs saturates every kind
-    # up front: the sizes are reported and p feeds the thickness check;
-    # savitch leaves p to the obesity check.
-    table = edge_orbit_table(rsta)
+    # bfs saturates every kind up front: the sizes are reported and p feeds
+    # the thickness check; savitch leaves p to the obesity check.
     kinds = ("p", "f", "d") if mode == "bfs" else ("f", "d")
-    reaches = {k: _reach(rsta, k, cap, mode, table) for k in kinds}
+    reaches = {k: _reach(rsta, k, cap, mode) for k in kinds}
     if not rsta.locations:
         # empty language: no cycles at all
         return Verdict("meager", None, "thin", guards_bounded_nonpunctual(a), (), {
@@ -334,11 +318,11 @@ def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Ve
             "wallTimeMs": int((time.monotonic() - t0) * 1000)})
     meager = is_structurally_meager(rsta, reach=reaches["f"])
     obese = is_structurally_obese(rsta, cap, mode, reach_d=reaches["d"],
-                                  reach_p=reaches.get("p"), table=table)
+                                  reach_p=reaches.get("p"))
     if meager.meager and obese.obese:
         raise ClassificationError(
             "structural meagerness and obesity both hold; this cannot happen")
-    thick = is_thick(rsta, cap, reach=reaches.get("p"), table=table)
+    thick = is_thick(rsta, cap, reach=reaches.get("p"))
     witnesses: list[PatternWitness] = []
     if meager.witness:
         witnesses.append(meager.witness)

@@ -14,8 +14,9 @@ An orbit element is a slotted value object, immutable by convention, whose
 hash is computed once when it is built.  Row i of a product A·B depends only
 on row i of A and on B, so the right factor B keeps the product rows it has
 computed, keyed by the row of A, for as long as the element lives.
-Saturation's right factors are the edge orbits of one table, so their row
-products die with it.
+Saturation's right factors are the edge orbits a region-split automaton
+keeps (`RegionSplitAutomaton.edge_orbits`), so their row products live as
+long as the automaton.
 """
 
 from __future__ import annotations
@@ -222,7 +223,9 @@ EdgeOrbitTable = dict[str, tuple[OrbitElement, ...]]
 
 
 def edge_orbit_table(automaton) -> EdgeOrbitTable:
-    """Orbit of every edge in every kind, aligned with `automaton.edges`."""
+    """Orbit of every edge in every kind, aligned with `automaton.edges`;
+    a fresh table on every call (`RegionSplitAutomaton.edge_orbits` keeps
+    one)."""
     per_edge = [_orbits(automaton, [e], e.src, e.dst) for e in automaton.edges]
     return {kind: tuple(orbits[kind] for orbits in per_edge) for kind in KINDS}
 

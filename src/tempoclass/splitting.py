@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from .orbits import EdgeOrbitTable, edge_orbit_table
 from .regions import Region, region_of, time_successor_chain
 from .ta import (TAError, TimedAutomaton, Edge, Guard, ClockConstraint,
                  ClockVector, check_deterministic)
@@ -23,7 +24,6 @@ from .ta import (TAError, TimedAutomaton, Edge, Guard, ClockConstraint,
 class Provenance:
     base: str                     # original location
     large: frozenset[str]         # clocks that were above the bound on entry
-    region: Region
 
 
 @dataclass
@@ -31,6 +31,16 @@ class RegionSplitAutomaton(TimedAutomaton):
     regions: dict[str, Region] = field(default_factory=dict)
     provenance: dict[str, Provenance] = field(default_factory=dict)
     bound: int = 0
+    _edge_orbits = None           # not a field: built by the first `edge_orbits` read
+
+    @property
+    def edge_orbits(self) -> EdgeOrbitTable:
+        """Orbit of every edge in every kind, aligned with `edges`; built on
+        first use and kept for the automaton's lifetime.  Two threads racing
+        on the first read each build an equal table, and one is kept."""
+        if self._edge_orbits is None:
+            self._edge_orbits = edge_orbit_table(self)
+        return self._edge_orbits
 
     def starting_ok(self, loc: str, clocks: ClockVector, closed: bool = False) -> bool:
         r = self.regions[loc]
@@ -221,7 +231,7 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
         {names[k]: Guard() for k in kept_keys if is_accepting(k)},
         {},
         regions={names[k]: k[2] for k in kept_keys},
-        provenance={names[k]: Provenance(k[0], k[1], k[2]) for k in kept_keys},
+        provenance={names[k]: Provenance(k[0], k[1]) for k in kept_keys},
         bound=bound)
     return rsta
 
@@ -391,5 +401,5 @@ def attach_starting_regions(ta: TimedAutomaton, lines: dict[str, str]) -> Region
         ta.name, ta.clocks, ta.alphabet, ta.locations, ta.edges,
         dict(ta.initial), dict(ta.accepting), {},
         regions=regions,
-        provenance={q: Provenance(q, frozenset(), regions[q]) for q in ta.locations},
+        provenance={q: Provenance(q, frozenset()) for q in ta.locations},
         bound=bound)

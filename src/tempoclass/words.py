@@ -103,14 +103,10 @@ def greedy_separated(words: Iterable[TimedWord], eps: Fraction) -> list[TimedWor
 
 
 def greedy_net(words: Iterable[TimedWord], eps: Fraction) -> list[TimedWord]:
-    """A covering subset: every input word lies within eps of a net element."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    net: list[TimedWord] = []
-    for w in sorted(set(words), key=word_sort_key):
-        if not any(distance(w, m) <= eps for m in net):
-            net.append(w)
-    return net
+    """A covering subset: every input word lies within eps of a net element.
+    A maximal eps-separated set is such a net (a word farther than eps from
+    all of it could be added), so this is the `greedy_separated` set."""
+    return greedy_separated(words, eps)
 
 
 _EXACT_LIMIT = 20

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -141,6 +142,33 @@ def test_grid_validation():
         enumerate_words(automaton("a5"), F(2), F(1, 3))
     with pytest.raises(TAError):
         enumerate_words(automaton("a5"), F(5, 4), F(1, 2))
+    # a zero duration is a legal slice, a negative one is not
+    with pytest.raises(TAError, match="must not be negative"):
+        enumerate_words(automaton("a5"), F(-2), F(1, 2))
+    with pytest.raises(TAError, match="word cap must be a positive integer"):
+        enumerate_words(automaton("a5"), F(2), F(1, 2), cap=0)
+
+
+def test_curve_enumerates_each_grid_slice_once(monkeypatch):
+    bandwidth = importlib.import_module("tempoclass.bandwidth")
+    real = bandwidth.enumerate_words
+    slices = []
+
+    def counting(a, duration, grid, cap):
+        slices.append((duration, grid))
+        return real(a, duration, grid, cap)
+
+    monkeypatch.setattr(bandwidth, "enumerate_words", counting)
+    a = automaton("a6")
+    epss = [F(1, 2), F(1, 3), F(1, 5)]
+    rows = bandwidth_curve(a, [F(3, 2), F(2)], epss, grid=F(1, 16))
+    assert slices == [(F(3, 2), F(1, 16)), (F(2), F(1, 16))]
+    # the same rows as one estimate per eps on its own enumeration
+    monkeypatch.setattr(bandwidth, "enumerate_words", real)
+    assert [(r.eps, r.duration, r.word_count, r.capacity_bits) for r in rows] == [
+        (eps, F(2), est.word_count, est.capacity_bits)
+        for eps in epss
+        for est in [estimate_capacity(a, F(2), eps, F(1, 16))]]
 
 
 def test_capacity_monotone_in_duration_and_eps():

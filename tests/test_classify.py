@@ -152,8 +152,7 @@ def test_orbit_element_value_semantics(split_corpus):
     for kind in KINDS:
         assert orbit_zero(kind) == orbit_zero(kind)
         assert orbit_one(kind) == orbit_one(kind) != orbit_zero(kind)
-        table = edge_orbit_table(rs)
-        reach = saturate(rs, kind, table=table)
+        reach = saturate(rs, kind)
         for x in reach:
             # separately built equal elements: equal, same hash, one dict key
             copy = OrbitElement(x.kind, x.tag, x.src, x.matrix, x.dst)
@@ -164,7 +163,7 @@ def test_orbit_element_value_semantics(split_corpus):
                 assert len({x: 1, other: 2}) == 1
             assert hash(x) == hash((x.kind, x.tag, x.src, x.matrix, x.dst))
             assert x != (x.kind, x.tag, x.src, x.matrix, x.dst)
-        for eo in table[kind]:
+        for eo in rs.edge_orbits[kind]:
             if eo.is_zero:
                 continue
             # eo has been a right factor of saturation and keeps row products
@@ -179,7 +178,7 @@ def test_orbit_element_value_semantics(split_corpus):
             assert eo != other_dst
 
 
-@pytest.mark.parametrize("mode", ["bfs", "savitch"])
+@pytest.mark.parametrize("mode", ["bfs", "savitch", "standalone"])
 def test_classify_builds_edge_languages_once(split_corpus, monkeypatch, mode):
     # the package's classify() shadows the submodule name, so modules are
     # fetched by import path
@@ -192,8 +191,16 @@ def test_classify_builds_edge_languages_once(split_corpus, monkeypatch, mode):
         return real(*args)
 
     monkeypatch.setattr(orbits, "language_class", counting)
-    verdict = classify(automaton("a2"), mode=mode)
-    assert verdict.obesity_type == "II"
+    if mode == "standalone":
+        # the checks called one by one on one automaton share its table
+        fresh = region_split(automaton("a2"))
+        for kind in ("p", "f", "d"):
+            saturate(fresh, kind)
+        assert is_structurally_obese(fresh, mode="savitch").obesity_type == "II"
+        assert is_thick(fresh).thick
+    else:
+        verdict = classify(automaton("a2"), mode=mode)
+        assert verdict.obesity_type == "II"
     rs = split_corpus["a2"]
     assert calls[0] == sum(len(rs.location_vertices(e.src))
                            * len(rs.location_vertices(e.dst)) for e in rs.edges)

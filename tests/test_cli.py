@@ -165,6 +165,16 @@ starting q ⌊z⌋=0, frac(z)=0
                  "epsilon must be positive", id="eps-zero"),
     pytest.param({}, {}, ["bandwidth", "a5.ta", "--T", "10", "--eps=-1/2"],
                  "epsilon must be positive", id="eps-negative"),
+    pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "0", "--eps", "1/2"],
+                 "duration bound must be positive", id="duration-zero"),
+    pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "-2", "--eps", "1/2"],
+                 "duration bound must be positive", id="duration-negative"),
+    pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "2", "--eps", "1/2",
+                          "--grid", "0"],
+                 "grid must be 1/2^k", id="grid-zero"),
+    pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "2", "--eps", "1/2",
+                          "--word-cap", "0"],
+                 "word cap must be a positive integer", id="word-cap-zero"),
     pytest.param({}, {"w.tw": "a 1/0\n"}, ["distance", "w.tw", "u.tw"],
                  "bad word file", id="word-date-zero-denominator"),
     pytest.param({}, {"w.tw": "a\n"}, ["distance", "u.tw", "w.tw"],
