@@ -89,7 +89,7 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
         resets = frozenset(a.clock_index(c) for c in e.resets)
         compiled[e.name] = (e, *bounds(e.guard), resets)
     out_edges = {q: [compiled[e.name] for e in a.edges_from(q)] for q in a.locations}
-    check_start = bool(getattr(a, "regions", None)) or bool(a.starting)
+    check_start = bool(getattr(a, "regions", None))
     accepting = {q: bounds(g) for q, g in a.accepting.items()}
 
     def accepts(loc: str, clocks: tuple) -> bool:
@@ -168,7 +168,7 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
             {(start.location, start_clocks, frozenset())}, frozenset())
     # no two event multisets share a key
     ordered = sorted(words.values(), key=_grid_key)
-    dates = [Fraction(t, scale) for t in range(horizon + 1)]
+    dates = {t: Fraction(t, scale) for t in {t for w in ordered for _, t in w}}
     return [TimedWord(tuple((l, dates[t]) for l, t in w)) for w in ordered]
 
 
@@ -327,6 +327,11 @@ def bandwidth_curve(a, durations: Sequence[Fraction], epss: Sequence[Fraction],
     ts = sorted(Fraction(t) for t in durations)
     if ts and ts[0] <= 0:
         raise TAError(f"duration bound must be positive, got {ts[0]}")
+    if ts:
+        try:
+            float(ts[-1])  # bits per second divides by the duration as a float
+        except OverflowError:
+            raise TAError("duration bound is too large for a float") from None
     epss = [_positive_eps(eps) for eps in epss]
     by_grid: dict[Fraction, list[int]] = {}
     for k, eps in enumerate(epss):
@@ -371,6 +376,10 @@ _MODELS = (
 
 _CLASS_OF_MODEL = {"O(1)": "meager", "log(1/eps)": "normal", "1/eps": "obese"}
 
+# a fit is conclusive when the runner-up's residual is at least this many
+# times the winner's
+RATIO_THRESHOLD = 2.0
+
 
 @dataclass(frozen=True)
 class FitReport:
@@ -393,10 +402,10 @@ class FitReport:
         }
 
 
-def fit_class(rows: Sequence[CurveRow], ratio_threshold: float = 2.0) -> FitReport:
+def fit_class(rows: Sequence[CurveRow]) -> FitReport:
     """Least-squares fit of bits/second against the three one-parameter shapes;
-    the winner is flagged inconclusive when the runner-up is closer than the
-    threshold ratio."""
+    the winner is flagged inconclusive when the runner-up is closer than
+    `RATIO_THRESHOLD`."""
     if len(rows) < 3:
         raise TAError("need at least three epsilon points to fit a shape")
     pts = [(float(r.eps), r.bits_per_second) for r in rows]
@@ -413,4 +422,4 @@ def fit_class(rows: Sequence[CurveRow], ratio_threshold: float = 2.0) -> FitRepo
     best, second = ranked[0], ranked[1]
     ratio = INF if residuals[best] == 0 else residuals[second] / residuals[best]
     return FitReport(best, constants[best], residuals, ratio,
-                     ratio >= ratio_threshold, _CLASS_OF_MODEL[best])
+                     ratio >= RATIO_THRESHOLD, _CLASS_OF_MODEL[best])

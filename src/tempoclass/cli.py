@@ -56,8 +56,11 @@ def _word(path: str, text: str) -> wd.TimedWord:
         raise UsageError(f"bad word file {path}: {ex}")
 
 
-def _fraction_list(text: str) -> list[Fraction]:
-    return [_fraction(part) for part in text.split(",") if part]
+def _fraction_list(flag: str, text: str) -> list[Fraction]:
+    values = [_fraction(part) for part in text.split(",") if part]
+    if not values:
+        raise UsageError(f"{flag} needs at least one value")
+    return values
 
 
 def _report(command: str, path: Optional[str], digest: Optional[str],
@@ -225,8 +228,8 @@ def cmd_distance(args) -> int:
 
 def cmd_bandwidth(args) -> int:
     a, digest = _load_automaton(args.file)
-    durations = _fraction_list(args.T)
-    epss = _fraction_list(args.eps)
+    durations = _fraction_list("--T", args.T)
+    epss = _fraction_list("--eps", args.eps)
     grid = _fraction(args.grid) if args.grid else None
     rows = bw.bandwidth_curve(a, durations, epss, grid, cap=args.word_cap)
     csv = bw.curve_csv(rows)
@@ -235,7 +238,8 @@ def cmd_bandwidth(args) -> int:
     if len(rows) >= 3:
         fit = bw.fit_class(rows)
         if not fit.conclusive:
-            warnings.append("fit is inconclusive (residual ratio below 2)")
+            warnings.append("fit is inconclusive (residual ratio below "
+                            f"{bw.RATIO_THRESHOLD:g})")
     else:
         warnings.append("not enough feasible epsilon points to fit a shape")
     result = {

@@ -104,6 +104,3 @@ NAMES = tuple(SOURCES)
 def automaton(name: str) -> TimedAutomaton:
     return parse_automaton(SOURCES[name])
 
-
-def all_automata() -> dict[str, TimedAutomaton]:
-    return {name: automaton(name) for name in NAMES}

@@ -1,9 +1,8 @@
 """Difference-bound matrices for the timing polytopes of closed paths.
 
-Entry (i, j) bounds t_j - t_i with t_0 = 0.  Bounds carry a strictness bit
-ordered tighter-first at equal value; addition saturates at infinity.  Orbit
-queries only ever build closed (non-strict) systems, strictness exists for
-generality of the canonicalization and projection machinery.
+Entry (i, j) bounds t_j - t_i with t_0 = 0.  Every bound is closed (t_j - t_i
+<= value): orbit entries are read off the closure of a path language, so no
+system the library builds has a strict bound.  Addition saturates at infinity.
 """
 
 from __future__ import annotations
@@ -15,18 +14,17 @@ from typing import Optional, Sequence
 
 @dataclass(frozen=True)
 class Bound:
-    """Either a finite bound (value, strict) or infinity (value None)."""
+    """Either a finite closed bound (value) or infinity (value None)."""
 
     value: Optional[Fraction]
-    strict: bool = False
 
     @staticmethod
     def inf() -> "Bound":
         return _INF
 
     @staticmethod
-    def of(value, strict: bool = False) -> "Bound":
-        return Bound(Fraction(value), strict)
+    def of(value) -> "Bound":
+        return Bound(Fraction(value))
 
     @property
     def infinite(self) -> bool:
@@ -35,7 +33,7 @@ class Bound:
     def __add__(self, other: "Bound") -> "Bound":
         if self.infinite or other.infinite:
             return _INF
-        return Bound(self.value + other.value, self.strict or other.strict)
+        return Bound(self.value + other.value)
 
     def tighter_than(self, other: "Bound") -> bool:
         """Strict order: self admits strictly fewer values than other."""
@@ -43,51 +41,37 @@ class Bound:
             return not self.infinite
         if self.infinite:
             return False
-        if self.value != other.value:
-            return self.value < other.value
-        return self.strict and not other.strict
+        return self.value < other.value
 
     def min(self, other: "Bound") -> "Bound":
         return self if self.tighter_than(other) else other
 
     def negative(self) -> bool:
-        """True when a cycle of this weight is infeasible (sum < 0, or = 0 strictly)."""
-        if self.infinite:
-            return False
-        return self.value < 0 or (self.value == 0 and self.strict)
+        """True when a cycle of this weight is infeasible (sum < 0)."""
+        return not self.infinite and self.value < 0
 
     def text(self) -> str:
-        if self.infinite:
-            return "inf"
-        s = "<" if self.strict else ""
-        return f"{self.value}{s}"
+        return "inf" if self.infinite else str(self.value)
 
 
-_INF = Bound(None, False)
-ZERO_BOUND = Bound(Fraction(0), False)
+_INF = Bound(None)
+ZERO_BOUND = Bound(Fraction(0))
 
 
 @dataclass(frozen=True)
 class Interval:
-    """Projection of a zone onto one variable."""
+    """Projection of a zone onto one variable, closed at both ends."""
 
     lo: Fraction
     hi: Optional[Fraction]          # None = unbounded above
-    lo_strict: bool = False
-    hi_strict: bool = False
 
     @property
     def punctual(self) -> bool:
-        return self.hi is not None and self.lo == self.hi \
-            and not self.lo_strict and not self.hi_strict
+        return self.lo == self.hi
 
     def covers_unit(self) -> bool:
         """Whether the interval contains [0, 1]."""
-        if self.lo > 0 or (self.lo == 0 and self.lo_strict):
-            return False
-        if self.hi is None:
-            return True
-        return self.hi > 1 or (self.hi == 1 and not self.hi_strict)
+        return self.lo <= 0 and (self.hi is None or self.hi >= 1)
 
 
 class Dbm:
@@ -144,10 +128,7 @@ def project(d: Dbm, i: int) -> Interval:
     down = d.entries[i][0]
     if down.infinite:
         raise ValueError("projection is unbounded below; timing DBMs always bound t_i >= 0")
-    lo = -down.value
-    if up.infinite:
-        return Interval(lo, None, down.strict, False)
-    return Interval(lo, up.value, down.strict, up.strict)
+    return Interval(-down.value, up.value)
 
 
 def project_raw(d: Dbm, i: int) -> tuple[Bound, Bound]:
@@ -158,25 +139,14 @@ def project_raw(d: Dbm, i: int) -> tuple[Bound, Bound]:
 # -- path-timing DBMs -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EntryTrace:
-    """Provenance of one tightening applied while building a path DBM."""
-
-    i: int
-    j: int
-    kind: str            # "int" | "x" | "y"
-    clock: Optional[int] = None
-
-
-def path_timing_dbm(automaton, path, x: Sequence[Fraction], y: Sequence[Fraction],
-                    with_trace: bool = False):
+def path_timing_dbm(automaton, path, x: Sequence[Fraction], y: Sequence[Fraction]) -> Dbm:
     """Timing polytope of the closure of `path` from clock vector x to y.
 
     The translation follows the run constraints: guard atoms become entries via
     the last reset of the tested clock, final clock values pin border entries,
     and date monotonicity contributes the zero bounds below the diagonal.  All
     guards are taken closed.  Returns a non-canonical `Dbm` (canonicalize to
-    decide emptiness), plus the construction trace when requested.
+    decide emptiness).
     """
     clocks = automaton.clocks
     n = len(path)
@@ -184,21 +154,15 @@ def path_timing_dbm(automaton, path, x: Sequence[Fraction], y: Sequence[Fraction
         if a.dst != b.src:
             raise ValueError("edge sequence is not a path")
     d = Dbm(n)
-    trace: list[EntryTrace] = []
-
-    def put(i: int, j: int, bound: Bound, kind: str, clock=None):
-        d.tighten(i, j, bound)
-        if with_trace:
-            trace.append(EntryTrace(i, j, kind, clock))
 
     if n == 0:
         if tuple(x) != tuple(y):
-            put(0, 0, Bound.of(-1), "int")  # infeasible marker: negative self-loop
-        return (d, trace) if with_trace else d
+            d.tighten(0, 0, Bound.of(-1))  # infeasible marker: negative self-loop
+        return d
 
     # dates are non-decreasing, and t_1 >= t_0 = 0
     for j in range(1, n + 1):
-        put(j, j - 1, ZERO_BOUND, "int")
+        d.tighten(j, j - 1, ZERO_BOUND)
 
     last_reset = {c: 0 for c in range(len(clocks))}  # 0 = "never reset" sentinel
     reset_by_step = [frozenset(automaton.clock_index(c) for c in e.resets) for e in path]
@@ -212,15 +176,15 @@ def path_timing_dbm(automaton, path, x: Sequence[Fraction], y: Sequence[Fraction
             if i == 0:
                 # value tested is x_c + t_j
                 if upper:
-                    put(0, j, Bound(b - x[c]), "x", c)
+                    d.tighten(0, j, Bound(b - x[c]))
                 else:
-                    put(j, 0, Bound(x[c] - b), "x", c)
+                    d.tighten(j, 0, Bound(x[c] - b))
             else:
                 # value tested is t_j - t_i
                 if upper:
-                    put(i, j, Bound(b), "int")
+                    d.tighten(i, j, Bound(b))
                 else:
-                    put(j, i, Bound(-b), "int")
+                    d.tighten(j, i, Bound(-b))
         for c in reset_by_step[j - 1]:
             last_reset[c] = j
 
@@ -228,14 +192,14 @@ def path_timing_dbm(automaton, path, x: Sequence[Fraction], y: Sequence[Fraction
         i = last_reset[c]
         if i == 0:
             # never reset: y_c = x_c + t_n
-            put(0, n, Bound(y[c] - x[c]), "y", c)
-            put(n, 0, Bound(x[c] - y[c]), "y", c)
+            d.tighten(0, n, Bound(y[c] - x[c]))
+            d.tighten(n, 0, Bound(x[c] - y[c]))
         else:
             # reset last at step i: t_n - t_i = y_c
-            put(i, n, Bound(Fraction(y[c])), "y", c)
-            put(n, i, Bound(-Fraction(y[c])), "y", c)
+            d.tighten(i, n, Bound(Fraction(y[c])))
+            d.tighten(n, i, Bound(-Fraction(y[c])))
 
-    return (d, trace) if with_trace else d
+    return d
 
 
 # -- language-class queries ------------------------------------------------------
@@ -245,9 +209,8 @@ def path_timing_dbm(automaton, path, x: Sequence[Fraction], y: Sequence[Fraction
 class LanguageClass:
     """Shape of the closed-path language between two region vertices."""
 
-    kind: str                                     # "empty" | "singleton" | "wide"
-    timing: Optional[tuple[Fraction, ...]] = None  # singleton only
-    duration: Optional[Interval] = None            # absent for empty
+    kind: str                                # "empty" | "singleton" | "wide"
+    duration: Optional[Interval] = None      # absent for empty
 
     @property
     def empty(self) -> bool:
@@ -264,9 +227,7 @@ def language_class(automaton, path, v, v_prime) -> LanguageClass:
         return LanguageClass("empty")
     n = d.n
     if n == 0:
-        return LanguageClass("singleton", (), Interval(Fraction(0), Fraction(0)))
+        return LanguageClass("singleton", Interval(Fraction(0), Fraction(0)))
     projections = [project(d, i) for i in range(1, n + 1)]
-    duration = projections[-1]
-    if all(p.punctual for p in projections):
-        return LanguageClass("singleton", tuple(p.lo for p in projections), duration)
-    return LanguageClass("wide", None, duration)
+    kind = "singleton" if all(p.punctual for p in projections) else "wide"
+    return LanguageClass(kind, projections[-1])

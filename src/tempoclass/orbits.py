@@ -121,13 +121,6 @@ class OrbitElement:
         assert self.matrix is not None and self.cyclic
         return tuple(self.matrix[i][i] for i in range(len(self.matrix)))
 
-    def pretty(self) -> str:
-        if self.tag != "elem":
-            return {"zero": "0", "one": "1"}[self.tag]
-        rows = "; ".join("(" + ", ".join(label(self.kind, v) for v in row) + ")"
-                         for row in self.matrix)
-        return f"<{self.src} | {rows} | {self.dst}>"
-
 
 def orbit_zero(kind: str) -> OrbitElement:
     return OrbitElement(kind, "zero")

@@ -101,6 +101,12 @@ class RegionSplitCapExceeded(TAError):
         self.cap = cap
 
 
+def _empty_split(a: TimedAutomaton, bound: int) -> RegionSplitAutomaton:
+    """The region split of an automaton whose language is empty."""
+    return RegionSplitAutomaton(a.name + "_rs", a.clocks, a.alphabet, (), (), {}, {},
+                                regions={}, provenance={}, bound=bound)
+
+
 def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutomaton:
     """Language-preserving region-split form of a deterministic automaton.
 
@@ -109,6 +115,8 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
     locations; `RegionSplitCapExceeded` is raised once any of them passes it
     (a chain that would be too long is never built).
     """
+    if not a.locations:
+        return _empty_split(a, a.max_constant)  # what `regionize` writes for it
     report = check_deterministic(a)
     if not report.deterministic:
         raise TAError("region_split requires a deterministic automaton")
@@ -170,11 +178,6 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
                 large2 = (large - resets) | newly
                 resets2 = resets | large2
                 target_region = fired.reset(a.clock_index(c) for c in resets2)
-                starting = a.starting.get(e.dst)
-                if starting is not None:
-                    kept_s = _resolve_large(starting.atoms, large2)
-                    if kept_s is None or not _guard_on(target_region, kept_s, clock_list):
-                        continue
                 key2 = (e.dst, large2, target_region)
                 out.append((e, fired, resets2, key2))
                 if key2 not in seen:
@@ -201,9 +204,7 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
                 stack.append(p)
 
     if start_key not in live:
-        return RegionSplitAutomaton(
-            a.name + "_rs", a.clocks, a.alphabet, (), (), {}, {}, {},
-            regions={}, provenance={}, bound=bound)
+        return _empty_split(a, bound)
 
     kept_keys = [k for k in order if k in live]
     names: dict[_Key, str] = {}
@@ -229,7 +230,6 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
         tuple(names[k] for k in kept_keys), tuple(edges),
         {names[start_key]: x0},
         {names[k]: Guard() for k in kept_keys if is_accepting(k)},
-        {},
         regions={names[k]: k[2] for k in kept_keys},
         provenance={names[k]: Provenance(k[0], k[1]) for k in kept_keys},
         bound=bound)
@@ -399,7 +399,7 @@ def attach_starting_regions(ta: TimedAutomaton, lines: dict[str, str]) -> Region
                for loc, r in regions.items()}
     return RegionSplitAutomaton(
         ta.name, ta.clocks, ta.alphabet, ta.locations, ta.edges,
-        dict(ta.initial), dict(ta.accepting), {},
+        dict(ta.initial), dict(ta.accepting),
         regions=regions,
         provenance={q: Provenance(q, frozenset()) for q in ta.locations},
         bound=bound)

@@ -7,7 +7,7 @@ point enters the semantics, so guard and region-membership tests are exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -170,7 +170,6 @@ class TimedAutomaton:
     edges: tuple[Edge, ...]
     initial: dict[str, ClockVector]        # I: location -> the unique initial vector
     accepting: dict[str, Guard]            # F: only locations that can accept appear
-    starting: dict[str, Guard] = field(default_factory=dict)  # S: absent means true
 
     def __post_init__(self):
         self._index = {c: i for i, c in enumerate(self.clocks)}
@@ -190,7 +189,7 @@ class TimedAutomaton:
                     raise TAError(f"edge {e.name} guards undeclared clock {a.clock!r}")
             if not e.resets <= set(self.clocks):
                 raise TAError(f"edge {e.name} resets undeclared clocks")
-        for q in list(self.initial) + list(self.accepting) + list(self.starting):
+        for q in list(self.initial) + list(self.accepting):
             if q not in locs:
                 raise TAError(f"constraint on undeclared location {q!r}")
 
@@ -200,8 +199,6 @@ class TimedAutomaton:
         for e in self.edges:
             m = max(m, e.guard.max_bound())
         for g in self.accepting.values():
-            m = max(m, g.max_bound())
-        for g in self.starting.values():
             m = max(m, g.max_bound())
         for v in self.initial.values():
             for x in v:
@@ -233,10 +230,9 @@ class TimedAutomaton:
         return State(loc, vec, Fraction(0))
 
     def starting_ok(self, loc: str, clocks: ClockVector, closed: bool = False) -> bool:
-        g = self.starting.get(loc)
-        if g is None:
-            return True
-        return g.holds(self.values(clocks), closed)
+        """Every location admits every clock vector; a region-split automaton
+        confines each location to its region."""
+        return True
 
     def is_accepting(self, loc: str, clocks: ClockVector) -> bool:
         g = self.accepting.get(loc)
@@ -383,8 +379,7 @@ def relabel_deterministic(a: TimedAutomaton) -> tuple[TimedAutomaton, dict[str, 
             new_edges.append(e)
     letters = tuple(sorted(used))
     out = TimedAutomaton(a.name + "_det", a.clocks, letters, a.locations,
-                         tuple(new_edges), dict(a.initial), dict(a.accepting),
-                         dict(a.starting))
+                         tuple(new_edges), dict(a.initial), dict(a.accepting))
     # drop letters that no edge uses any more (renamed-away originals)
     live = {e.label for e in out.edges}
     renaming = {g: s for g, s in renaming.items() if g in live}

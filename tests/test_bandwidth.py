@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -135,6 +136,21 @@ def test_enumeration_budget(name, duration, grid, needed, words_at_half):
     with pytest.raises(EnumerationCapExceeded) as exc:
         enumerate_words(a, duration, grid, cap=needed // 2)
     assert exc.value.words_so_far == words_at_half
+
+
+def test_enumeration_memory_independent_of_horizon():
+    """a6 at grid 1/4 has the same words at T=16 and T=2^16; building them
+    allocates for the words, not for every grid date up to the horizon."""
+    a = automaton("a6")
+    short = enumerate_words(a, F(16), F(1, 4))
+    tracemalloc.start()
+    try:
+        long = enumerate_words(a, F(2 ** 16), F(1, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert long == short
+    assert peak < 1_000_000
 
 
 def test_grid_validation():

@@ -17,7 +17,9 @@ from tempoclass.orbits import (FAST, INSTANT, KINDS, SLOW, WIDE, OrbitElement,
 from tempoclass.regions import region_of
 from conftest import BIG_CONSTANT, MANY_CHAINS, random_automaton
 from tempoclass.splitting import RegionSplitCapExceeded, region_split
-from tempoclass.ta import check_deterministic, parse_automaton
+from tempoclass.ta import (ClockConstraint, Edge, Guard, TimedAutomaton,
+                           check_deterministic, parse_automaton,
+                           serialize_automaton)
 
 
 def test_saturate_contains_a6_cycle_orbits(split_corpus):
@@ -483,3 +485,73 @@ edge q -> p on a guard x > 1, x < 1
     assert v.stats["locations"] == 0
     with pytest.raises(ValueError):
         classify(a, mode="BFS")
+
+
+# -- metamorphic verdicts ------------------------------------------------------------
+
+
+def _swap_names(names):
+    """Each name goes to its mirror in the list, so at least two swap when
+    there are two or more."""
+    return dict(zip(names, reversed(names)))
+
+
+def _renamed(a):
+    letters, locs, clocks = (_swap_names(a.alphabet), _swap_names(a.locations),
+                             _swap_names(a.clocks))
+
+    def guard(g):
+        return Guard(tuple(ClockConstraint(clocks[x.clock], x.relation, x.bound)
+                           for x in g.atoms))
+
+    return TimedAutomaton(
+        a.name, tuple(clocks[c] for c in a.clocks),
+        tuple(letters[l] for l in a.alphabet), tuple(locs[q] for q in a.locations),
+        tuple(Edge(e.name, locs[e.src], locs[e.dst], letters[e.label], guard(e.guard),
+                   frozenset(clocks[c] for c in e.resets)) for e in a.edges),
+        {locs[q]: v for q, v in a.initial.items()},
+        {locs[q]: guard(g) for q, g in a.accepting.items()})
+
+
+def _with_unreachable_location(a):
+    edge = Edge("u_out", "u", a.locations[0], a.alphabet[0])
+    return TimedAutomaton(a.name, a.clocks, a.alphabet, a.locations + ("u",),
+                          a.edges + (edge,), dict(a.initial),
+                          {**a.accepting, "u": Guard()})
+
+
+def _with_dead_sink(a):
+    edges = tuple(Edge(f"z_{q}", q, "sink", "z") for q in a.locations)
+    return TimedAutomaton(a.name, a.clocks, a.alphabet + ("z",),
+                          a.locations + ("sink",),
+                          a.edges + edges + (Edge("z_loop", "sink", "sink", "z"),),
+                          dict(a.initial), dict(a.accepting))
+
+
+def _verdict(a, mode="bfs"):
+    v = classify(a, mode=mode)
+    return v.classification, v.obesity_type, v.fatness
+
+
+def test_verdicts_invariant_under_metamorphic_changes():
+    """Renaming, unreachable or dead additions and the two textual round
+    trips leave class, obesity type and fatness unchanged."""
+    rng = random.Random(29)
+    subjects = [automaton(name) for name in NAMES]
+    while len(subjects) < len(NAMES) + 300:
+        a = random_automaton(rng)
+        if check_deterministic(a).deterministic:
+            subjects.append(a)
+    for a in subjects:
+        expected = _verdict(a)
+        regionized = parse_automaton(serialize_automaton(region_split(a)))
+        variants = {
+            "renamed": _verdict(_renamed(a)),
+            "unreachable location": _verdict(_with_unreachable_location(a)),
+            "dead sink": _verdict(_with_dead_sink(a)),
+            "serialized": _verdict(parse_automaton(serialize_automaton(a))),
+            "regionized bfs": _verdict(regionized),
+            "regionized savitch": _verdict(regionized, "savitch"),
+        }
+        for change, got in variants.items():
+            assert got == expected, (change, serialize_automaton(a))

@@ -169,6 +169,12 @@ starting q ⌊z⌋=0, frac(z)=0
                  "duration bound must be positive", id="duration-zero"),
     pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "-2", "--eps", "1/2"],
                  "duration bound must be positive", id="duration-negative"),
+    pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "1e400", "--eps", "1/2"],
+                 "duration bound is too large", id="duration-too-large"),
+    pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "", "--eps", "1/2"],
+                 "--T needs at least one value", id="duration-list-empty"),
+    pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "2", "--eps", ""],
+                 "--eps needs at least one value", id="eps-list-empty"),
     pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "2", "--eps", "1/2",
                           "--grid", "0"],
                  "grid must be 1/2^k", id="grid-zero"),

@@ -26,12 +26,16 @@ def make_dbm(n, entries):
 
 
 def test_bound_order_and_addition():
-    assert Bound.of(1, strict=True).tighter_than(Bound.of(1))
+    assert Bound.of(0).tighter_than(Bound.of(1))
+    assert not Bound.of(1).tighter_than(Bound.of(1))
+    assert Bound.of(-1).tighter_than(Bound.of(0))
     assert Bound.of(0).tighter_than(Bound.inf())
-    assert (Bound.of(1, strict=True) + Bound.of(2)) == Bound.of(3, strict=True)
+    assert not Bound.inf().tighter_than(Bound.inf())
+    assert (Bound.of(1) + Bound.of(2)) == Bound.of(3)
     assert (Bound.inf() + Bound.of(-5)) == Bound.inf()
-    assert Bound.of(0, strict=True).negative()
+    assert Bound.of(F(-1, 2)).negative()
     assert not Bound.of(0).negative()
+    assert not Bound.inf().negative()
 
 
 # -- canonical form ----------------------------------------------------------------
@@ -204,20 +208,14 @@ def test_parametric_form(a6_rs):
     path = [d1, d2, d1]
     x0, y0 = (F(1, 2), F(0)), (F(0), F(1, 2))
     x1, y1 = (F(1, 4), F(0)), (F(0), F(3, 4))
-    (da, ta) = path_timing_dbm(a6_rs, path, x0, y0, with_trace=True)
-    (db, _) = path_timing_dbm(a6_rs, path, x1, y1, with_trace=True)
+    da = path_timing_dbm(a6_rs, path, x0, y0)
+    db = path_timing_dbm(a6_rs, path, x1, y1)
     n = len(path)
     for i in range(1, n):
         for j in range(1, n):
             assert da.entries[i][j] == db.entries[i][j]
             if not da.entries[i][j].infinite:
                 assert da.entries[i][j].value.denominator == 1
-    for tr in ta:
-        middle = 1 <= tr.i < n and 1 <= tr.j < n
-        if middle:
-            assert tr.kind == "int"
-        if tr.kind in ("x", "y"):
-            assert not middle
 
 
 def test_lipschitz_stability_of_projections():
@@ -274,5 +272,6 @@ def _short_cycles(rs, max_len):
 
 def test_dump_format():
     d = make_dbm(1, {(0, 1): F(2)})
-    d.tighten(1, 0, Bound.of(0, strict=True))
-    assert d.dump().splitlines() == ["0,2", "0<,0"]
+    d.tighten(1, 0, Bound.of(F(-1, 2)))
+    assert d.dump().splitlines() == ["0,2", "-1/2,0"]
+    assert Dbm(1).dump().splitlines() == ["0,inf", "inf,0"]
