@@ -39,7 +39,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path: str) -> tuple[str, str]:
     data = Path(path).read_bytes()
-    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as ex:
+        raise UsageError(f"{path} is not UTF-8 text: {ex.reason} at byte {ex.start}")
+    return text, hashlib.sha256(data).hexdigest()
 
 
 def _fraction(text: str) -> Fraction:

@@ -1,8 +1,9 @@
 """Difference-bound matrices for the timing polytopes of closed paths.
 
-Entry (i, j) bounds t_j - t_i with t_0 = 0.  Every bound is closed (t_j - t_i
-<= value): orbit entries are read off the closure of a path language, so no
-system the library builds has a strict bound.  Addition saturates at infinity.
+Entry (i, j) bounds t_j - t_i with t_0 = 0: a rational entry v means
+t_j - t_i <= v, and None means the difference is unbounded.  Every bound is
+closed: orbit entries are read off the closure of a path language, so no system
+the library builds has a strict bound.
 """
 
 from __future__ import annotations
@@ -10,52 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-
-@dataclass(frozen=True)
-class Bound:
-    """Either a finite closed bound (value) or infinity (value None)."""
-
-    value: Optional[Fraction]
-
-    @staticmethod
-    def inf() -> "Bound":
-        return _INF
-
-    @staticmethod
-    def of(value) -> "Bound":
-        return Bound(Fraction(value))
-
-    @property
-    def infinite(self) -> bool:
-        return self.value is None
-
-    def __add__(self, other: "Bound") -> "Bound":
-        if self.infinite or other.infinite:
-            return _INF
-        return Bound(self.value + other.value)
-
-    def tighter_than(self, other: "Bound") -> bool:
-        """Strict order: self admits strictly fewer values than other."""
-        if other.infinite:
-            return not self.infinite
-        if self.infinite:
-            return False
-        return self.value < other.value
-
-    def min(self, other: "Bound") -> "Bound":
-        return self if self.tighter_than(other) else other
-
-    def negative(self) -> bool:
-        """True when a cycle of this weight is infeasible (sum < 0)."""
-        return not self.infinite and self.value < 0
-
-    def text(self) -> str:
-        return "inf" if self.infinite else str(self.value)
-
-
-_INF = Bound(None)
-ZERO_BOUND = Bound(Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -75,26 +30,30 @@ class Interval:
 
 
 class Dbm:
-    """(n+1) x (n+1) matrix of bounds on t_j - t_i."""
+    """(n+1) x (n+1) matrix of bounds on t_j - t_i (None = unbounded)."""
 
-    def __init__(self, n: int, entries: Optional[list[list[Bound]]] = None):
+    def __init__(self, n: int, entries: Optional[list[list[Optional[Fraction]]]] = None):
         self.n = n
         if entries is None:
-            entries = [[ZERO_BOUND if i == j else _INF for j in range(n + 1)]
+            entries = [[Fraction(0) if i == j else None for j in range(n + 1)]
                        for i in range(n + 1)]
         self.entries = entries
 
     def copy(self) -> "Dbm":
         return Dbm(self.n, [row[:] for row in self.entries])
 
-    def tighten(self, i: int, j: int, bound: Bound) -> None:
-        self.entries[i][j] = self.entries[i][j].min(bound)
+    def tighten(self, i: int, j: int, bound: Fraction) -> None:
+        """Lower entry (i, j) to `bound` unless it is already at most that."""
+        old = self.entries[i][j]
+        if old is None or bound < old:
+            self.entries[i][j] = bound
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Dbm) and self.n == other.n and self.entries == other.entries
 
     def dump(self) -> str:
-        return "\n".join(",".join(b.text() for b in row) for row in self.entries)
+        return "\n".join(",".join("inf" if b is None else str(b) for b in row)
+                         for row in self.entries)
 
 
 def canonicalize(d: Dbm) -> Optional[Dbm]:
@@ -106,17 +65,19 @@ def canonicalize(d: Dbm) -> Optional[Dbm]:
         row_k = m[k]
         for i in range(size):
             ik = m[i][k]
-            if ik.infinite:
+            if ik is None:
                 continue
             row_i = m[i]
             for j in range(size):
-                via = ik + row_k[j]
-                if via.tighter_than(row_i[j]):
+                kj = row_k[j]
+                if kj is None:
+                    continue
+                via = ik + kj
+                ij = row_i[j]
+                if ij is None or via < ij:
                     row_i[j] = via
-    for i in range(size):
-        if m[i][i].negative():
-            return None
-        m[i][i] = ZERO_BOUND
+    if any(m[i][i] < 0 for i in range(size)):
+        return None
     return c
 
 
@@ -124,15 +85,14 @@ def project(d: Dbm, i: int) -> Interval:
     """Feasible values of t_i in a canonical, non-empty DBM."""
     if not (1 <= i <= d.n):
         raise ValueError("projection index out of range")
-    up = d.entries[0][i]
     down = d.entries[i][0]
-    if down.infinite:
+    if down is None:
         raise ValueError("projection is unbounded below; timing DBMs always bound t_i >= 0")
-    return Interval(-down.value, up.value)
+    return Interval(-down, d.entries[0][i])
 
 
-def project_raw(d: Dbm, i: int) -> tuple[Bound, Bound]:
-    """(upper bound on t_i, upper bound on -t_i) for callers that need ±inf."""
+def project_raw(d: Dbm, i: int) -> tuple[Optional[Fraction], Optional[Fraction]]:
+    """(upper bound on t_i, upper bound on -t_i), None where unbounded."""
     return d.entries[0][i], d.entries[i][0]
 
 
@@ -157,12 +117,12 @@ def path_timing_dbm(automaton, path, x: Sequence[Fraction], y: Sequence[Fraction
 
     if n == 0:
         if tuple(x) != tuple(y):
-            d.tighten(0, 0, Bound.of(-1))  # infeasible marker: negative self-loop
+            d.tighten(0, 0, Fraction(-1))  # infeasible marker: negative self-loop
         return d
 
     # dates are non-decreasing, and t_1 >= t_0 = 0
     for j in range(1, n + 1):
-        d.tighten(j, j - 1, ZERO_BOUND)
+        d.tighten(j, j - 1, Fraction(0))
 
     last_reset = {c: 0 for c in range(len(clocks))}  # 0 = "never reset" sentinel
     reset_by_step = [frozenset(automaton.clock_index(c) for c in e.resets) for e in path]
@@ -176,15 +136,15 @@ def path_timing_dbm(automaton, path, x: Sequence[Fraction], y: Sequence[Fraction
             if i == 0:
                 # value tested is x_c + t_j
                 if upper:
-                    d.tighten(0, j, Bound(b - x[c]))
+                    d.tighten(0, j, b - x[c])
                 else:
-                    d.tighten(j, 0, Bound(x[c] - b))
+                    d.tighten(j, 0, x[c] - b)
             else:
                 # value tested is t_j - t_i
                 if upper:
-                    d.tighten(i, j, Bound(b))
+                    d.tighten(i, j, b)
                 else:
-                    d.tighten(j, i, Bound(-b))
+                    d.tighten(j, i, -b)
         for c in reset_by_step[j - 1]:
             last_reset[c] = j
 
@@ -192,12 +152,12 @@ def path_timing_dbm(automaton, path, x: Sequence[Fraction], y: Sequence[Fraction
         i = last_reset[c]
         if i == 0:
             # never reset: y_c = x_c + t_n
-            d.tighten(0, n, Bound(y[c] - x[c]))
-            d.tighten(n, 0, Bound(x[c] - y[c]))
+            d.tighten(0, n, y[c] - x[c])
+            d.tighten(n, 0, x[c] - y[c])
         else:
             # reset last at step i: t_n - t_i = y_c
-            d.tighten(i, n, Bound(Fraction(y[c])))
-            d.tighten(n, i, Bound(-Fraction(y[c])))
+            d.tighten(i, n, Fraction(y[c]))
+            d.tighten(n, i, -Fraction(y[c]))
 
     return d
 

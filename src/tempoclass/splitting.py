@@ -20,17 +20,9 @@ from .ta import (TAError, TimedAutomaton, Edge, Guard, ClockConstraint,
                  ClockVector, check_deterministic)
 
 
-@dataclass(frozen=True)
-class Provenance:
-    base: str                     # original location
-    large: frozenset[str]         # clocks that were above the bound on entry
-
-
 @dataclass
 class RegionSplitAutomaton(TimedAutomaton):
     regions: dict[str, Region] = field(default_factory=dict)
-    provenance: dict[str, Provenance] = field(default_factory=dict)
-    bound: int = 0
     _edge_orbits = None           # not a field: built by the first `edge_orbits` read
 
     @property
@@ -101,10 +93,9 @@ class RegionSplitCapExceeded(TAError):
         self.cap = cap
 
 
-def _empty_split(a: TimedAutomaton, bound: int) -> RegionSplitAutomaton:
+def _empty_split(a: TimedAutomaton) -> RegionSplitAutomaton:
     """The region split of an automaton whose language is empty."""
-    return RegionSplitAutomaton(a.name + "_rs", a.clocks, a.alphabet, (), (), {}, {},
-                                regions={}, provenance={}, bound=bound)
+    return RegionSplitAutomaton(a.name + "_rs", a.clocks, a.alphabet, (), (), {}, {})
 
 
 def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutomaton:
@@ -116,7 +107,7 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
     (a chain that would be too long is never built).
     """
     if not a.locations:
-        return _empty_split(a, a.max_constant)  # what `regionize` writes for it
+        return _empty_split(a)  # what `regionize` writes for it
     report = check_deterministic(a)
     if not report.deterministic:
         raise TAError("region_split requires a deterministic automaton")
@@ -204,7 +195,7 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
                 stack.append(p)
 
     if start_key not in live:
-        return _empty_split(a, bound)
+        return _empty_split(a)
 
     kept_keys = [k for k in order if k in live]
     names: dict[_Key, str] = {}
@@ -225,15 +216,12 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
             edges.append(Edge(f"{e.name}.{k}", names[key], names[key2], e.label,
                               region_pins(a.clocks, fired), resets2))
 
-    rsta = RegionSplitAutomaton(
+    return RegionSplitAutomaton(
         a.name + "_rs", a.clocks, a.alphabet,
         tuple(names[k] for k in kept_keys), tuple(edges),
         {names[start_key]: x0},
         {names[k]: Guard() for k in kept_keys if is_accepting(k)},
-        regions={names[k]: k[2] for k in kept_keys},
-        provenance={names[k]: Provenance(k[0], k[1]) for k in kept_keys},
-        bound=bound)
-    return rsta
+        regions={names[k]: k[2] for k in kept_keys})
 
 
 # -- closed successors / predecessors -------------------------------------------
@@ -259,7 +247,7 @@ def closed_successor(a: RegionSplitAutomaton, region: Region, edge: Edge) -> Reg
                   for v1 in region.vertices())}
     if not hit:
         raise TAError("empty successor; region-split edges are never vacuous")
-    return _face_region(hit, a.bound)
+    return _face_region(hit, dst_r.bound)
 
 
 def closed_predecessor(a: RegionSplitAutomaton, region: Region, edge: Edge) -> Region:
@@ -273,7 +261,7 @@ def closed_predecessor(a: RegionSplitAutomaton, region: Region, edge: Edge) -> R
                   for v2 in region.vertices())}
     if not hit:
         raise TAError("empty predecessor; region-split edges are never vacuous")
-    return _face_region(hit, a.bound)
+    return _face_region(hit, src_r.bound)
 
 
 # -- region expressions (serialization) ------------------------------------------
@@ -347,10 +335,15 @@ def _parse_region_expr(expr: str, clocks: tuple[str, ...], bound_hint: int) -> R
             less.append((clock(m.group(1)), clock(m.group(2))))
             continue
         raise TAError(f"bad region atom {raw.strip()!r}")
-    bounded = set(ints) - above
+    pinned = set(ints) | zero | {i for pair in equal + less for i in pair}
+    if above & pinned:
+        name = clocks[min(above & pinned)]
+        raise TAError(f"clock {name!r} is above the bound and also has its integer part "
+                      f"or fraction fixed in region expression {expr!r}")
+    bounded = set(range(len(clocks))) - above
     for i in bounded:
-        if i not in zero and ints[i] + 1 > bound:
-            bound = ints[i] + 1
+        if i not in zero and ints.get(i, 0) + 1 > bound:
+            bound = ints.get(i, 0) + 1
     # union-find over equal fractional parts
     parent = {i: i for i in bounded if i not in zero}
     def find(i):
@@ -397,9 +390,9 @@ def attach_starting_regions(ta: TimedAutomaton, lines: dict[str, str]) -> Region
     bound = max([bound] + [r.bound for r in regions.values()])
     regions = {loc: Region(bound, r.int_part, r.frac_blocks, r.zero_first)
                for loc, r in regions.items()}
-    return RegionSplitAutomaton(
+    rsta = RegionSplitAutomaton(
         ta.name, ta.clocks, ta.alphabet, ta.locations, ta.edges,
-        dict(ta.initial), dict(ta.accepting),
-        regions=regions,
-        provenance={q: Provenance(q, frozenset()) for q in ta.locations},
-        bound=bound)
+        dict(ta.initial), dict(ta.accepting), regions=regions)
+    if not all(rsta.starting_ok(q, x) for q, x in rsta.initial.items()):
+        raise TAError("initial vector violates the starting constraint")
+    return rsta

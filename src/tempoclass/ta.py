@@ -108,9 +108,6 @@ class Guard:
     def holds(self, values: Mapping[str, Fraction], closed: bool = False) -> bool:
         return all(a.holds(values[a.clock], closed) for a in self.atoms)
 
-    def satisfiable(self) -> bool:
-        return all(_interval_nonempty(iv) for iv in _atom_intervals(self.atoms).values())
-
     def witness(self, clocks: Sequence[str]) -> Optional[dict[str, Fraction]]:
         """A clock vector satisfying the guard, or None."""
         ivs = _atom_intervals(self.atoms)

@@ -39,16 +39,6 @@ class TimedWord:
     def __len__(self) -> int:
         return len(self.events)
 
-    def advance_count(self) -> int:
-        """Number of events with a strictly later date than their predecessor."""
-        count = 0
-        last = Fraction(0)
-        for _, t in self.events:
-            if t > last:
-                count += 1
-            last = t
-        return count
-
     def letters(self) -> str:
         return "".join(a for a, _ in self.events)
 
@@ -92,7 +82,9 @@ def word_sort_key(w: TimedWord):
 
 def greedy_separated(words: Iterable[TimedWord], eps: Fraction) -> list[TimedWord]:
     """A maximal-by-inclusion subset with pairwise distances strictly above eps,
-    grown in the deterministic (duration, length, events) insertion order."""
+    grown in the deterministic (duration, length, events) insertion order.
+    Being maximal, it is also an eps-net of the input: a word farther than eps
+    from all of it could still be added."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     chosen: list[TimedWord] = []
@@ -100,13 +92,6 @@ def greedy_separated(words: Iterable[TimedWord], eps: Fraction) -> list[TimedWor
         if all(distance(w, m) > eps for m in chosen):
             chosen.append(w)
     return chosen
-
-
-def greedy_net(words: Iterable[TimedWord], eps: Fraction) -> list[TimedWord]:
-    """A covering subset: every input word lies within eps of a net element.
-    A maximal eps-separated set is such a net (a word farther than eps from
-    all of it could be added), so this is the `greedy_separated` set."""
-    return greedy_separated(words, eps)
 
 
 _EXACT_LIMIT = 20
@@ -181,7 +166,7 @@ def exact_entropy(words: Sequence[TimedWord], eps: Fraction) -> float:
     return _log2(len(exact_min_net(words, eps)))
 
 
-# -- word and word-set files -------------------------------------------------------
+# -- word files --------------------------------------------------------------------
 
 
 def parse_word(text: str) -> TimedWord:
@@ -196,23 +181,6 @@ def parse_word(text: str) -> TimedWord:
             raise ValueError(f"line {lineno}: expected '<letter> <date>'")
         events.append((parts[0], Fraction(parts[1])))
     return timed_word(events)
-
-
-def parse_word_set(text: str) -> list[TimedWord]:
-    """Blank-line-separated concatenation of word files."""
-    blocks = []
-    current: list[str] = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            if current:
-                blocks.append("\n".join(current))
-                current = []
-        else:
-            current.append(stripped)
-    if current:
-        blocks.append("\n".join(current))
-    return [parse_word(b) for b in blocks]
 
 
 def format_rational(x: Union[Fraction, float]) -> str:

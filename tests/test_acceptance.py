@@ -22,7 +22,7 @@ from tempoclass.bandwidth import bandwidth_curve, enumerate_words, fit_class
 from tempoclass.classify import (classify, is_structurally_meager,
                                  is_structurally_obese, saturate)
 from tempoclass.corpus import NAMES, automaton
-from tempoclass.dbm import Bound, Dbm, canonicalize, language_class, project, \
+from tempoclass.dbm import Dbm, canonicalize, language_class, project, \
     path_timing_dbm, project_raw
 from tempoclass.orbits import (FAST, NARROW, WIDE, lyapunov_values, orbit_compose,
                                path_orbit, path_orbit_direct, scc_decomposition,
@@ -31,8 +31,7 @@ from tempoclass.regions import region_of
 from tempoclass.splitting import closed_predecessor, closed_successor
 from tempoclass.ta import State, step
 from tempoclass.words import (distance, directed_distance, exact_capacity,
-                              exact_entropy, greedy_net, greedy_separated,
-                              timed_word)
+                              exact_entropy, greedy_separated, timed_word)
 
 INF = float("inf")
 
@@ -201,7 +200,7 @@ def _random_dbm(rng, n):
     for i in range(n + 1):
         for j in range(n + 1):
             if i != j and rng.random() < 0.55:
-                d.tighten(i, j, Bound.of(rng.randrange(-4, 5)))
+                d.tighten(i, j, F(rng.randrange(-4, 5)))
     return d
 
 
@@ -210,8 +209,8 @@ def _scaled_edges(d, scale=4):
     for i in range(d.n + 1):
         for j in range(d.n + 1):
             b = d.entries[i][j]
-            if not b.infinite:
-                edges.append((i, j, int(b.value * scale)))
+            if b is not None:
+                edges.append((i, j, int(b * scale)))
     return edges
 
 
@@ -235,10 +234,9 @@ def _feasible_with_pin(edges, nodes, i, v4):
 
 
 def _minplus_closure_values(d):
-    """Independent closure over plain ints (None = infinity)."""
+    """Independent closure over plain rationals (None = infinity)."""
     size = d.n + 1
-    m = [[None if d.entries[i][j].infinite else d.entries[i][j].value
-          for j in range(size)] for i in range(size)]
+    m = [row[:] for row in d.entries]
     for _ in range(size.bit_length() + 1):
         for i in range(size):
             for j in range(size):
@@ -269,8 +267,8 @@ def test_criterion_5_dbm_suite(split_corpus):
             assert m is not None
             for i in range(1, n + 1):
                 up, down = project_raw(c, i)
-                assert (None if up.infinite else up.value) == m[0][i]
-                assert (None if down.infinite else down.value) == m[i][0]
+                assert up == m[0][i]
+                assert down == m[i][0]
         # grid brute force on one coordinate per instance
         i = rng.randrange(1, n + 1)
         edges = _scaled_edges(d)
@@ -279,8 +277,8 @@ def test_criterion_5_dbm_suite(split_corpus):
         if c is None:
             assert not feasible
         else:
-            lo = -c.entries[i][0].value if not c.entries[i][0].infinite else None
-            hi = c.entries[0][i].value if not c.entries[0][i].infinite else None
+            lo = -c.entries[i][0] if c.entries[i][0] is not None else None
+            hi = c.entries[0][i]
             expect = [v for v in grid_vals
                       if (lo is None or v >= lo) and (hi is None or v <= hi)]
             assert feasible == expect
@@ -357,7 +355,7 @@ def test_criterion_6_capacity_laws():
             cap = exact_capacity(words, eps)
             assert cap2 <= ent <= cap
             assert math.log2(len(greedy_separated(words, eps))) <= cap
-            assert ent <= math.log2(len(greedy_net(words, eps)))
+            assert ent <= math.log2(len(greedy_separated(words, eps)))
     _report(6, "capacity/entropy sandwich and greedy brackets on 240 exact instances")
 
 

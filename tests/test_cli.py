@@ -1,11 +1,14 @@
 import json
 import re
+from fractions import Fraction as F
 
 import pytest
 
 from conftest import BIG_CONSTANT, MANY_CHAINS
 from tempoclass.cli import main
 from tempoclass.corpus import NAMES, SOURCES
+from tempoclass.regions import region_of
+from tempoclass.ta import parse_automaton
 
 
 @pytest.fixture()
@@ -154,6 +157,37 @@ starting q ⌊z⌋=0, frac(z)=0
 """
 
 
+# starting lines whose region leaves out the clock y: y is bounded with integer
+# part 0 and a positive fraction, so the initial vector (0, 0) lies outside it
+STARTING_OMITS_CLOCK = """automaton s
+clocks x y
+alphabet a
+location q initial x=0, y=0 accepting
+starting q ⌊x⌋=0, frac(x)=0
+"""
+
+STARTING_BARE = """automaton s
+clocks x y
+alphabet a
+location q initial accepting
+starting q
+"""
+
+STARTING_ABOVE_AND_FRACTION = """automaton s
+clocks x
+alphabet a
+location q initial x=0 accepting
+starting q x>1, frac(x)=0
+"""
+
+STARTING_MISSES_INITIAL = """automaton s
+clocks x
+alphabet a
+location q initial x=3 accepting
+starting q ⌊x⌋=0
+"""
+
+
 @pytest.mark.parametrize("env, files, argv, message", [
     pytest.param({"TEMPOCLASS_CAP": "abc"}, {}, ["classify", "a6.ta"],
                  "TEMPOCLASS_CAP must be an integer", id="cap-env-not-integer"),
@@ -185,8 +219,23 @@ starting q ⌊z⌋=0, frac(z)=0
                  "bad word file", id="word-date-zero-denominator"),
     pytest.param({}, {"w.tw": "a\n"}, ["distance", "u.tw", "w.tw"],
                  "bad word file", id="word-line-without-date"),
+    pytest.param({}, {"latin1.ta": b"automaton \xe9\n"}, ["validate", "latin1.ta"],
+                 "latin1.ta is not UTF-8 text", id="automaton-not-utf8"),
     pytest.param({}, {"s.ta": STARTING_UNKNOWN_CLOCK}, ["validate", "s.ta"],
                  "unknown clock", id="starting-unknown-clock"),
+    pytest.param({}, {"s.ta": STARTING_OMITS_CLOCK}, ["validate", "s.ta"],
+                 "initial vector violates the starting constraint",
+                 id="starting-omits-clock"),
+    pytest.param({}, {"s.ta": STARTING_BARE}, ["validate", "s.ta"],
+                 "initial vector violates the starting constraint",
+                 id="starting-bare"),
+    pytest.param({}, {"s.ta": STARTING_ABOVE_AND_FRACTION}, ["validate", "s.ta"],
+                 "is above the bound and also has its integer part or fraction fixed",
+                 id="starting-above-bound-with-fraction"),
+    pytest.param({}, {"s.ta": STARTING_MISSES_INITIAL},
+                 ["bandwidth", "s.ta", "--T", "1,2", "--eps", "1/2"],
+                 "initial vector violates the starting constraint",
+                 id="starting-misses-initial-vector"),
     pytest.param({}, {"big.ta": BIG_CONSTANT}, ["--json", "classify", "big.ta"],
                  "region splitting exceeded the cap of 1000000",
                  id="region-split-over-cap"),
@@ -201,11 +250,25 @@ def test_bad_input_exits_with_message(capsys, corpus_dir, monkeypatch, env,
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     for name, text in files.items():
-        (corpus_dir / name).write_text(text)
+        if isinstance(text, bytes):
+            (corpus_dir / name).write_bytes(text)
+        else:
+            (corpus_dir / name).write_text(text)
     code, _, err = run(capsys, *argv)
     assert code == 10
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert message in err
+
+
+def test_starting_region_defaults_integer_part_to_zero():
+    """A bounded clock with no integer-part atom has integer part 0."""
+    head = ("automaton s\nclocks x y\nalphabet a\n"
+            "location q initial accepting\nlocation p\n"
+            "starting q ⌊x⌋=0, frac(x)=0, ⌊y⌋=0, frac(y)=0\n")
+    short = parse_automaton(head + "starting p frac(x)=0\n")
+    full = parse_automaton(head + "starting p ⌊x⌋=0, frac(x)=0\n")
+    assert short.regions == full.regions
+    assert short.regions["p"] == region_of((F(0), F(1, 2)), short.regions["p"].bound)
 
 
 def test_saturation_cap_env(capsys, corpus_dir, monkeypatch):

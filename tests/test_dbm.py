@@ -6,36 +6,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempoclass.corpus import automaton
-from tempoclass.dbm import (Bound, Dbm, Interval, canonicalize, language_class,
+from tempoclass.dbm import (Dbm, Interval, canonicalize, language_class,
                             path_timing_dbm, project, project_raw)
 from tempoclass.splitting import region_split
-
-
-def bound_of(v):
-    return Bound.inf() if v is None else Bound.of(v)
 
 
 def make_dbm(n, entries):
     d = Dbm(n)
     for (i, j), v in entries.items():
-        d.tighten(i, j, bound_of(v))
+        d.tighten(i, j, F(v))
     return d
 
 
 # -- bounds ----------------------------------------------------------------------
 
 
-def test_bound_order_and_addition():
-    assert Bound.of(0).tighter_than(Bound.of(1))
-    assert not Bound.of(1).tighter_than(Bound.of(1))
-    assert Bound.of(-1).tighter_than(Bound.of(0))
-    assert Bound.of(0).tighter_than(Bound.inf())
-    assert not Bound.inf().tighter_than(Bound.inf())
-    assert (Bound.of(1) + Bound.of(2)) == Bound.of(3)
-    assert (Bound.inf() + Bound.of(-5)) == Bound.inf()
-    assert Bound.of(F(-1, 2)).negative()
-    assert not Bound.of(0).negative()
-    assert not Bound.inf().negative()
+def test_tighten_only_lowers():
+    d = Dbm(1)
+    d.tighten(0, 1, F(3))        # any finite bound replaces None
+    assert d.entries[0][1] == F(3)
+    d.tighten(0, 1, F(5))        # a looser bound never raises an entry
+    assert d.entries[0][1] == F(3)
+    before = d.copy()
+    d.tighten(0, 1, F(3))        # an equal bound changes nothing
+    assert d == before
+    d.tighten(0, 1, F(-1, 2))
+    assert d.entries[0][1] == F(-1, 2)
+    d.tighten(0, 0, F(1))        # the diagonal starts at 0 and is never raised
+    assert d.entries[0][0] == 0 and d.entries[1][0] is None
 
 
 # -- canonical form ----------------------------------------------------------------
@@ -76,7 +74,7 @@ def test_shortest_path_example():
     entries = {(0, 1): F(2), (1, 2): F(3)}
     d = make_dbm(2, entries)
     c = canonicalize(d)
-    assert c.entries[0][2] == Bound.of(5)
+    assert c.entries[0][2] == 5
     assert _paths_shortest(entries, 2, 0, 2) == F(5)
 
 
@@ -88,7 +86,7 @@ def _random_dbm(rng, n):
                 continue
             r = rng.random()
             if r < 0.5:
-                d.tighten(i, j, Bound.of(rng.randrange(-4, 5)))
+                d.tighten(i, j, F(rng.randrange(-4, 5)))
     return d
 
 
@@ -103,7 +101,8 @@ def test_canonicalize_idempotent(seed):
 
 
 def _minplus_closure(d):
-    """Independent closure: repeated min-plus squaring of the bound matrix."""
+    """Independent closure: repeated min-plus squaring of the bound matrix
+    (None = infinity)."""
     size = d.n + 1
     m = [row[:] for row in d.entries]
     for _ in range(size.bit_length() + 1):
@@ -111,12 +110,14 @@ def _minplus_closure(d):
         for i in range(size):
             for j in range(size):
                 for k in range(size):
+                    if m[i][k] is None or m[k][j] is None:
+                        continue
                     cand = m[i][k] + m[k][j]
-                    if cand.tighter_than(nxt[i][j]):
+                    if nxt[i][j] is None or cand < nxt[i][j]:
                         nxt[i][j] = cand
         m = nxt
     for i in range(size):
-        if m[i][i].negative():
+        if m[i][i] < 0:
             return None
     return m
 
@@ -140,8 +141,8 @@ def test_projection_examples():
     d = make_dbm(2, {(0, 1): F(2), (1, 2): F(3)})
     c = canonicalize(d)
     up, down = project_raw(c, 2)
-    assert up == Bound.of(5)
-    assert down == Bound.inf()  # no lower constraint: unbounded below
+    assert up == 5
+    assert down is None  # no lower constraint: unbounded below
     # punctual
     d = make_dbm(1, {(0, 1): F(1), (1, 0): F(-1)})
     assert project(canonicalize(d), 1) == Interval(F(1), F(1))
@@ -214,8 +215,8 @@ def test_parametric_form(a6_rs):
     for i in range(1, n):
         for j in range(1, n):
             assert da.entries[i][j] == db.entries[i][j]
-            if not da.entries[i][j].infinite:
-                assert da.entries[i][j].value.denominator == 1
+            if da.entries[i][j] is not None:
+                assert da.entries[i][j].denominator == 1
 
 
 def test_lipschitz_stability_of_projections():
@@ -272,6 +273,6 @@ def _short_cycles(rs, max_len):
 
 def test_dump_format():
     d = make_dbm(1, {(0, 1): F(2)})
-    d.tighten(1, 0, Bound.of(F(-1, 2)))
+    d.tighten(1, 0, F(-1, 2))
     assert d.dump().splitlines() == ["0,2", "-1/2,0"]
     assert Dbm(1).dump().splitlines() == ["0,inf", "inf,0"]

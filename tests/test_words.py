@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from tempoclass.words import (INF, directed_distance, distance, exact_capacity,
                               exact_entropy, exact_max_separated, exact_min_net,
-                              format_rational, greedy_net, greedy_separated,
-                              parse_word, parse_word_set, timed_word)
+                              format_rational, greedy_separated, parse_word,
+                              timed_word)
 
 
 U = timed_word([("a", F(7, 10)), ("b", F(9, 5)), ("a", 3), ("b", 4), ("a", F(41, 10))])
@@ -46,8 +46,6 @@ def test_duration_and_counts():
     assert U.duration == F(41, 10)
     assert len(U) == 5
     assert timed_word([]).duration == 0
-    w = timed_word([("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2)])
-    assert w.advance_count() == 2
 
 
 def _random_word(rng, letters="ab", max_events=6):
@@ -106,7 +104,7 @@ def test_greedy_singleton_and_collapsed():
 
 
 def test_greedy_net_example():
-    got = greedy_net(THREE, F(3, 10))
+    got = greedy_separated(THREE, F(3, 10))
     assert len(got) == 2
     for w in THREE:
         assert any(distance(w, m) <= F(3, 10) for m in got)
@@ -114,9 +112,9 @@ def test_greedy_net_example():
 
 def test_greedy_net_extremes():
     # eps at least the diameter: a single element suffices
-    assert len(greedy_net(THREE, F(1))) == 1
+    assert len(greedy_separated(THREE, F(1))) == 1
     # eps below the least positive distance: everything distinct stays
-    assert len(greedy_net(THREE, F(1, 10))) == 3
+    assert len(greedy_separated(THREE, F(1, 10))) == 3
 
 
 def test_exact_example():
@@ -146,9 +144,8 @@ def test_capacity_entropy_bracketing():
             cap = exact_capacity(words, eps)
             assert cap2 <= ent <= cap
             sep = greedy_separated(words, eps)
-            net = greedy_net(words, eps)
             assert math.log2(len(sep)) <= cap
-            assert ent <= math.log2(len(net))
+            assert ent <= math.log2(len(sep))
 
 
 def test_greedy_maximality_and_cover():
@@ -164,9 +161,8 @@ def test_greedy_maximality_and_cover():
         for w in words:  # maximality: everything else is blocked
             if w not in sep:
                 assert any(distance(w, m) <= eps for m in sep)
-        net = greedy_net(words, eps)
-        for w in words:
-            assert any(distance(w, m) <= eps for m in net)
+        for w in words:  # so it is an eps-net
+            assert any(distance(w, m) <= eps for m in sep)
 
 
 def test_exact_sets_are_valid():
@@ -186,9 +182,6 @@ def test_exact_sets_are_valid():
 def test_parse_word_formats():
     w = parse_word("a 0.8\nb 3/2\n# comment\na 1.7\n")
     assert w.events == (("a", F(4, 5)), ("b", F(3, 2)), ("a", F(17, 10)))
-    sets = parse_word_set("a 1\nb 2\n\n\na 0\n")
-    assert len(sets) == 2
-    assert sets[1].events == (("a", F(0)),)
 
 
 def test_format_rational():
