@@ -1,0 +1,109 @@
+"""Compare two checkouts on the benchmark in alternating pairs of runs.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10
+
+Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
+after the other; the side that goes first alternates from pair to pair.
+Both sides run with the same workload and seed, and with the run length
+that ``perfbench/run.py`` sets itself.  For every workload and end-to-end
+metric of ``BENCHMARK.json`` the script prints each side's median and
+quartiles, the relative change of the median, the number of pairs the change
+won (ties count for neither side) and two verdicts:
+
+* ``gain`` when the change won at least nine tenths of the pairs and its
+  median beats the parent's by more than the parent's interquartile range;
+* ``REGRESSION`` when the change's median is worse than the parent's by more
+  than the metric's bound.
+
+It also prints the failed and attempted operations of each side.  Standard
+library only; a parent checkout can be made with ``git worktree add`` or
+``git archive``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """One benchmark run in `checkout`; the JSON object of its last line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited "
+                           f"{proc.returncode}: {proc.stderr.strip()}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(metric: dict, parent: list[float], change: list[float]) -> str:
+    lower = metric["better"] == "lower"
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    rel = (cm - pm) / pm if pm else 0.0
+    gain = cm < pm - (p3 - p1) if lower else cm > pm + (p3 - p1)
+    worse = rel > metric["bound"] if lower else -rel > metric["bound"]
+    verdict = []
+    if gain and 10 * wins >= 9 * len(parent):
+        verdict.append("gain")
+    if worse:
+        verdict.append("REGRESSION")
+    return (f"  {metric['name']:<12} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  "
+            f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]  {100 * rel:+.1f}%  "
+            f"wins {wins}/{len(parent)}  bound {metric['bound']:.0%}"
+            + (f"  {' '.join(verdict)}" if verdict else ""))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path, help="checkout of the parent commit")
+    p.add_argument("change", type=Path, help="checkout of the change")
+    p.add_argument("--workload", action="append",
+                   help="workload to run (repeatable); default: every one")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+
+    manifest = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in manifest["workloads"]]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    for workload in workloads:
+        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                out = run_once(sides[side], workload, args.seed)
+                runs[side].append(out)
+                print(f"{workload} pair {i + 1} {side}: " + " ".join(
+                    f"{k}={v['value']:.4g}" for k, v in out["metrics"].items()),
+                    flush=True)
+        print(f"{workload}: {args.pairs} pairs, seed {args.seed}")
+        for side, outs in runs.items():
+            print(f"  {side} failed {sum(o['failed'] for o in outs)} of "
+                  f"{sum(o['attempted'] for o in outs)} operations")
+        for metric in manifest["end_to_end"]:
+            name = metric["name"]
+            print(summarize(metric, [o["metrics"][name]["value"] for o in runs["parent"]],
+                            [o["metrics"][name]["value"] for o in runs["change"]]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,9 +7,10 @@ by another cycle on the same region (type II), and normal otherwise.  Each
 pattern is scanned once, over a map from orbit element to witness.  Two modes
 build that map: `bfs` saturates the orbit monoid breadth-first and keeps a
 shortest witness per element; `savitch` squares level sets as in the log-space
-reachability recursion and keeps no witnesses.  It is the independent oracle:
-the same pattern predicates, the same verdicts, no witnesses.  Thickness
-always uses the bfs reachability monoid.
+reachability recursion, in semi-naive rounds that compose only the elements
+new in the previous round with the level, and keeps no witnesses.  It is the
+independent oracle: the same pattern predicates, the same verdicts, no
+witnesses.  Thickness always uses the bfs reachability monoid.
 
 The region-split automaton builds the edge orbits of every kind once, from
 one language class per edge and vertex pair, and keeps them: every check
@@ -92,19 +93,38 @@ def _level_sets(a: RegionSplitAutomaton, kind: str, h: int,
     This is the memoized form of the recursive column-doubling search: a path
     of length <= 2**h splits into two halves of length <= 2**(h-1), with the
     unit padding shorter paths.
+
+    The rounds are semi-naive: a round composes each element new in the
+    previous round, on the left, with every element of the level.  That
+    leaves out the pairs of two older elements, whose products are already
+    in the level, and the pairs of an older a and a new b: b is some b1·b2
+    of the round before, so a·b is (a·b1)·b2, where a·b1 is new (and
+    composed on the left) or older (and a·b an older pair's product).  The
+    unit's products are its other factor, and a matrix element is composed
+    only with the elements whose source is its target, the only products
+    that can be nonzero.  The cap is checked as in plain squaring: a round
+    raises when its level exceeds the cap.
     """
-    level: set[OrbitElement] = {orbit_one(kind)}
+    one = orbit_one(kind)
+    level: set[OrbitElement] = {one}
     level.update(eo for eo in a.edge_orbits[kind] if not eo.is_zero)
+    new = level - {one}
+    by_src: dict[str, list[OrbitElement]] = {}
     for _ in range(h):
+        if len(level) > cap:
+            raise SaturationCapExceeded(cap, level)
+        for e in new:
+            by_src.setdefault(e.src, []).append(e)
         nxt = set(level)
-        for e1 in level:
-            for e2 in level:
+        for e1 in new:
+            for e2 in by_src.get(e1.dst, ()):
                 c = orbit_compose(e1, e2)
-                if not c.is_zero:
+                if not c.is_zero and c not in nxt:
                     nxt.add(c)
-                if len(nxt) > cap:
-                    raise SaturationCapExceeded(cap, nxt)
-        if nxt == level:
+                    if len(nxt) > cap:
+                        raise SaturationCapExceeded(cap, nxt)
+        new = nxt - level
+        if not new:
             break
         level = nxt
     return level

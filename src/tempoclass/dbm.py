@@ -1,15 +1,20 @@
 """Difference-bound matrices for the timing polytopes of closed paths.
 
-Entry (i, j) bounds t_j - t_i with t_0 = 0: a rational entry v means
-t_j - t_i <= v, and None means the difference is unbounded.  Every bound is
-closed: orbit entries are read off the closure of a path language, so no system
-the library builds has a strict bound.
+Entry (i, j) bounds t_j - t_i with t_0 = 0: an exact rational entry v (an
+`int` or a `Fraction`) means t_j - t_i <= v, and None means the difference is
+unbounded.  Every bound is closed: orbit entries are read off the closure of a
+path language, so no system the library builds has a strict bound.
+
+Guard bounds are naturals and the constants the translation adds are 0 and -1,
+so a query between integer vertices, which is every query the orbit layer
+makes, builds and closes a matrix of plain `int`s.  `Fraction` inputs mix in
+exactly: the entries they touch become `Fraction`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 from typing import Optional, Sequence
 
 
@@ -17,8 +22,8 @@ from typing import Optional, Sequence
 class Interval:
     """Projection of a zone onto one variable, closed at both ends."""
 
-    lo: Fraction
-    hi: Optional[Fraction]          # None = unbounded above
+    lo: Rational
+    hi: Optional[Rational]          # None = unbounded above
 
     @property
     def punctual(self) -> bool:
@@ -32,17 +37,17 @@ class Interval:
 class Dbm:
     """(n+1) x (n+1) matrix of bounds on t_j - t_i (None = unbounded)."""
 
-    def __init__(self, n: int, entries: Optional[list[list[Optional[Fraction]]]] = None):
+    def __init__(self, n: int, entries: Optional[list[list[Optional[Rational]]]] = None):
         self.n = n
         if entries is None:
-            entries = [[Fraction(0) if i == j else None for j in range(n + 1)]
+            entries = [[0 if i == j else None for j in range(n + 1)]
                        for i in range(n + 1)]
         self.entries = entries
 
     def copy(self) -> "Dbm":
         return Dbm(self.n, [row[:] for row in self.entries])
 
-    def tighten(self, i: int, j: int, bound: Fraction) -> None:
+    def tighten(self, i: int, j: int, bound: Rational) -> None:
         """Lower entry (i, j) to `bound` unless it is already at most that."""
         old = self.entries[i][j]
         if old is None or bound < old:
@@ -91,7 +96,7 @@ def project(d: Dbm, i: int) -> Interval:
     return Interval(-down, d.entries[0][i])
 
 
-def project_raw(d: Dbm, i: int) -> tuple[Optional[Fraction], Optional[Fraction]]:
+def project_raw(d: Dbm, i: int) -> tuple[Optional[Rational], Optional[Rational]]:
     """(upper bound on t_i, upper bound on -t_i), None where unbounded."""
     return d.entries[0][i], d.entries[i][0]
 
@@ -99,7 +104,7 @@ def project_raw(d: Dbm, i: int) -> tuple[Optional[Fraction], Optional[Fraction]]
 # -- path-timing DBMs -----------------------------------------------------------
 
 
-def path_timing_dbm(automaton, path, x: Sequence[Fraction], y: Sequence[Fraction]) -> Dbm:
+def path_timing_dbm(automaton, path, x: Sequence[Rational], y: Sequence[Rational]) -> Dbm:
     """Timing polytope of the closure of `path` from clock vector x to y.
 
     The translation follows the run constraints: guard atoms become entries via
@@ -117,12 +122,12 @@ def path_timing_dbm(automaton, path, x: Sequence[Fraction], y: Sequence[Fraction
 
     if n == 0:
         if tuple(x) != tuple(y):
-            d.tighten(0, 0, Fraction(-1))  # infeasible marker: negative self-loop
+            d.tighten(0, 0, -1)  # infeasible marker: negative self-loop
         return d
 
     # dates are non-decreasing, and t_1 >= t_0 = 0
     for j in range(1, n + 1):
-        d.tighten(j, j - 1, Fraction(0))
+        d.tighten(j, j - 1, 0)
 
     last_reset = {c: 0 for c in range(len(clocks))}  # 0 = "never reset" sentinel
     reset_by_step = [frozenset(automaton.clock_index(c) for c in e.resets) for e in path]
@@ -131,7 +136,7 @@ def path_timing_dbm(automaton, path, x: Sequence[Fraction], y: Sequence[Fraction
         for atom in edge.guard.atoms:
             c = automaton.clock_index(atom.clock)
             i = last_reset[c]
-            b = Fraction(atom.bound)
+            b = atom.bound
             upper = atom.relation in ("<", "<=")
             if i == 0:
                 # value tested is x_c + t_j
@@ -156,8 +161,8 @@ def path_timing_dbm(automaton, path, x: Sequence[Fraction], y: Sequence[Fraction
             d.tighten(n, 0, x[c] - y[c])
         else:
             # reset last at step i: t_n - t_i = y_c
-            d.tighten(i, n, Fraction(y[c]))
-            d.tighten(n, i, -Fraction(y[c]))
+            d.tighten(i, n, y[c])
+            d.tighten(n, i, -y[c])
 
     return d
 
@@ -179,15 +184,17 @@ class LanguageClass:
 
 def language_class(automaton, path, v, v_prime) -> LanguageClass:
     """Classify L over the closed path from vertex v to vertex v': empty,
-    a single timed word, or a wide set with its exact duration interval."""
-    x = tuple(Fraction(c) for c in v)
-    y = tuple(Fraction(c) for c in v_prime)
-    d = canonicalize(path_timing_dbm(automaton, path, x, y))
+    a single timed word, or a wide set with its exact duration interval.
+
+    The vertices are used as given: integer vertices keep every entry and the
+    duration an `int`, and `Fraction` ones give the same values as
+    `Fraction`s."""
+    d = canonicalize(path_timing_dbm(automaton, path, v, v_prime))
     if d is None:
         return LanguageClass("empty")
     n = d.n
     if n == 0:
-        return LanguageClass("singleton", Interval(Fraction(0), Fraction(0)))
+        return LanguageClass("singleton", Interval(0, 0))
     projections = [project(d, i) for i in range(1, n + 1)]
     kind = "singleton" if all(p.punctual for p in projections) else "wide"
     return LanguageClass(kind, projections[-1])

@@ -17,6 +17,10 @@ computed, keyed by the row of A, for as long as the element lives.
 Saturation's right factors are the edge orbits a region-split automaton
 keeps (`RegionSplitAutomaton.edge_orbits`), so their row products live as
 long as the automaton.
+
+Each kind has one zero element, shared by `orbit_zero`, `orbit_element` and
+`orbit_compose`: most products in a level-set search are zero, and none of
+them builds an object.
 """
 
 from __future__ import annotations
@@ -122,8 +126,12 @@ class OrbitElement:
         return tuple(self.matrix[i][i] for i in range(len(self.matrix)))
 
 
+_ZEROS = {kind: OrbitElement(kind, "zero") for kind in KINDS}
+
+
 def orbit_zero(kind: str) -> OrbitElement:
-    return OrbitElement(kind, "zero")
+    """The zero of the kind; the same object on every call."""
+    return _ZEROS[kind]
 
 
 def orbit_one(kind: str) -> OrbitElement:
@@ -144,17 +152,17 @@ def orbit_compose(e1: OrbitElement, e2: OrbitElement) -> OrbitElement:
         raise ValueError("cannot compose orbits of different kinds")
     t1, t2 = e1.tag, e2.tag
     if t1 == "zero" or t2 == "zero":
-        return orbit_zero(kind)
+        return _ZEROS[kind]
     if t1 == "one":
         return e2
     if t2 == "one":
         return e1
     if e1.dst != e2.src:
-        return orbit_zero(kind)
+        return _ZEROS[kind]
     a, b = e1.matrix, e2.matrix
     assert a is not None and b is not None
     if len(a[0]) != len(b):
-        return orbit_zero(kind)
+        return _ZEROS[kind]
     # row i of a.b depends only on row i of a, so b keeps its row products;
     # concurrent callers can at worst lose an entry, never corrupt one
     memo = e2._row_products
@@ -167,7 +175,7 @@ def orbit_compose(e1: OrbitElement, e2: OrbitElement) -> OrbitElement:
             row = memo[a_row] = _row_times(kind, a_row, b)
         rows.append(row)
     if not any(map(any, rows)):
-        return orbit_zero(kind)
+        return _ZEROS[kind]
     return OrbitElement(kind, "elem", e1.src, tuple(rows), e2.dst)
 
 

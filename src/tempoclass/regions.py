@@ -114,10 +114,22 @@ class Region:
         return set(inner.vertices()) <= set(self.vertices())
 
     def reset(self, resets: Iterable[int]) -> "Region":
-        vals = list(self.representative())
-        for c in resets:
-            vals[c] = Fraction(0)
-        return region_of(vals, self.bound)
+        """The region after setting the `resets` clocks to 0.
+
+        Worked on the region's structure, with no point: the reset clocks
+        get integer part 0 and join the zero-fraction block, and leave the
+        positive blocks, a block left empty disappearing.  Any other clock
+        keeps its integer part (or stays above the bound) and its place in
+        the fractional order.
+        """
+        reset = frozenset(resets)
+        if not reset:
+            return self
+        int_part = tuple(0 if i in reset else v for i, v in enumerate(self.int_part))
+        zero = self.zero_fraction | reset
+        positive = tuple(b - reset for b in self.positive_blocks)
+        blocks = (zero,) + tuple(b for b in positive if b)
+        return Region(self.bound, int_part, blocks, True)
 
     def delay_successor(self) -> Optional["Region"]:
         """The next region hit under pure delay; None when absorbing."""

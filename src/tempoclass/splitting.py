@@ -62,8 +62,25 @@ def region_pins(clocks: tuple[str, ...], region: Region) -> Guard:
 
 
 def _guard_on(region: Region, atoms, clocks) -> bool:
-    rep = region.representative()
-    return all(a.holds(rep[clocks.index(a.clock)]) for a in atoms)
+    """Whether every atom holds throughout `region`, decided from each
+    clock's integer part and zero-fraction flag.  Atom bounds must not
+    exceed the region's bound, so a clock above it satisfies exactly the
+    lower bounds; a clock with integer part i and a positive fraction lies
+    in (i, i+1), below k iff i < k and above it iff i >= k."""
+    zero = region.zero_fraction
+    for a in atoms:
+        i = clocks.index(a.clock)
+        ip = region.int_part[i]
+        upper = a.relation in ("<", "<=")
+        if ip is None:
+            ok = not upper
+        elif i in zero:
+            ok = a.holds(ip)
+        else:
+            ok = (ip < a.bound) == upper
+        if not ok:
+            return False
+    return True
 
 
 def _resolve_large(atoms, large: frozenset[str]):
@@ -289,7 +306,15 @@ def region_expr_text(a, region: Region) -> str:
     return ", ".join(atoms)
 
 
-def _parse_region_expr(expr: str, clocks: tuple[str, ...], bound_hint: int) -> Region:
+def _parse_region_expr(expr: str, clocks: tuple[str, ...]
+                       ) -> tuple[Region, list[tuple[str, int]]]:
+    """The region an expression describes, and its `x>k` atoms with a literal
+    k as (clock, k): the caller checks that each k is the final bound.
+
+    Raises `TAError` on an atom it cannot read and on atoms no region
+    satisfies: two integer parts for one clock, a fraction equal to both a
+    zero and a positive one, or one fraction below an equal or a zero one.
+    """
     import re
     idx = {c: i for i, c in enumerate(clocks)}
 
@@ -300,10 +325,11 @@ def _parse_region_expr(expr: str, clocks: tuple[str, ...], bound_hint: int) -> R
 
     ints: dict[int, int] = {}
     above: set[int] = set()
+    above_literal: list[tuple[str, int]] = []
     zero: set[int] = set()
     equal: list[tuple[int, int]] = []
     less: list[tuple[int, int]] = []
-    bound = bound_hint
+    bound = 0
     for raw in expr.split(","):
         atom = raw.strip().replace(" ", "")
         if not atom:
@@ -312,7 +338,9 @@ def _parse_region_expr(expr: str, clocks: tuple[str, ...], bound_hint: int) -> R
         if m:
             c = m.group(1) or m.group(3)
             k = int(m.group(2) or m.group(4))
-            ints[clock(c)] = k
+            if ints.setdefault(clock(c), k) != k:
+                raise TAError(f"clock {c!r} has two integer parts in region "
+                              f"expression {expr!r}")
             bound = max(bound, k)
             continue
         m = re.fullmatch(r"(\w+)>(\d+|M)", atom)
@@ -320,6 +348,7 @@ def _parse_region_expr(expr: str, clocks: tuple[str, ...], bound_hint: int) -> R
             c = m.group(1)
             above.add(clock(c))
             if m.group(2) != "M":
+                above_literal.append((c, int(m.group(2))))
                 bound = max(bound, int(m.group(2)))
             continue
         m = re.fullmatch(r"frac\((\w+)\)=0", atom)
@@ -340,6 +369,14 @@ def _parse_region_expr(expr: str, clocks: tuple[str, ...], bound_hint: int) -> R
         name = clocks[min(above & pinned)]
         raise TAError(f"clock {name!r} is above the bound and also has its integer part "
                       f"or fraction fixed in region expression {expr!r}")
+    for i, j in equal:
+        if (i in zero) != (j in zero):
+            raise TAError(f"frac({clocks[i]})=frac({clocks[j]}) equates a zero and a "
+                          f"positive fraction in region expression {expr!r}")
+    for i, j in less:
+        if j in zero:
+            raise TAError(f"frac({clocks[i]})<frac({clocks[j]}) puts a fraction "
+                          f"below zero in region expression {expr!r}")
     bounded = set(range(len(clocks))) - above
     for i in bounded:
         if i not in zero and ints.get(i, 0) + 1 > bound:
@@ -362,7 +399,10 @@ def _parse_region_expr(expr: str, clocks: tuple[str, ...], bound_hint: int) -> R
     uniq = sorted(set(blocks.values()), key=min)
     before: dict[frozenset[int], set[frozenset[int]]] = {b: set() for b in uniq}
     for i, j in less:
-        if i in parent and j in parent:
+        if i in parent:
+            if find(i) == find(j):
+                raise TAError(f"frac({clocks[i]})<frac({clocks[j]}) orders two equal "
+                              f"fractions in region expression {expr!r}")
             before[blocks[find(j)]].add(blocks[find(i)])
     ordered: list[frozenset[int]] = []
     remaining = list(uniq)
@@ -376,20 +416,22 @@ def _parse_region_expr(expr: str, clocks: tuple[str, ...], bound_hint: int) -> R
         remaining.remove(b)
     frac_blocks = ((frozenset(zero),) if zero else ()) + tuple(ordered)
     int_part = tuple(None if i in above else ints.get(i, 0) for i in range(len(clocks)))
-    return Region(bound, int_part, frac_blocks, bool(zero))
+    return Region(bound, int_part, frac_blocks, bool(zero)), above_literal
 
 
 def attach_starting_regions(ta: TimedAutomaton, lines: dict[str, str]) -> RegionSplitAutomaton:
     """Rebuild a region-split automaton from parsed `starting` lines."""
     if set(lines) != set(ta.locations):
         raise TAError("starting lines must cover every location exactly once")
-    bound = ta.max_constant
-    regions = {}
-    for loc, expr in lines.items():
-        regions[loc] = _parse_region_expr(expr, ta.clocks, 0)
-    bound = max([bound] + [r.bound for r in regions.values()])
+    parsed = {loc: _parse_region_expr(expr, ta.clocks) for loc, expr in lines.items()}
+    bound = max([ta.max_constant] + [r.bound for r, _ in parsed.values()])
+    for loc, (_, above_literal) in parsed.items():
+        for c, k in above_literal:
+            if k != bound:
+                raise TAError(f"{c}>{k} in the starting line of {loc!r} is below the "
+                              f"max constant {bound}; write {c}>M for a clock above it")
     regions = {loc: Region(bound, r.int_part, r.frac_blocks, r.zero_first)
-               for loc, r in regions.items()}
+               for loc, (r, _) in parsed.items()}
     rsta = RegionSplitAutomaton(
         ta.name, ta.clocks, ta.alphabet, ta.locations, ta.edges,
         dict(ta.initial), dict(ta.accepting), regions=regions)

@@ -16,7 +16,7 @@ from tempoclass.orbits import (FAST, INSTANT, KINDS, SLOW, WIDE, OrbitElement,
                                path_orbit, semiring_add, semiring_mul)
 from tempoclass.regions import region_of
 from conftest import BIG_CONSTANT, MANY_CHAINS, random_automaton
-from tempoclass.splitting import RegionSplitCapExceeded, region_split
+from tempoclass.splitting import DEFAULT_CAP, RegionSplitCapExceeded, region_split
 from tempoclass.ta import (ClockConstraint, Edge, Guard, TimedAutomaton,
                            check_deterministic, parse_automaton,
                            serialize_automaton)
@@ -109,6 +109,65 @@ def _reference_saturate(rs, kind):
             reach[nxt] = reach[elem] + (e.name,)
             frontier.append(nxt)
     return reach
+
+
+def _reference_levels(rs, kind, cap=DEFAULT_CAP):
+    """The level sets of depth 0, 1, ... up to the fixpoint, by naive
+    squaring: every ordered pair of the level in every round, with the cap
+    checked after each product."""
+    level = {orbit_one(kind)}
+    level.update(eo for eo in edge_orbit_table(rs)[kind] if not eo.is_zero)
+    yield level
+    while True:
+        nxt = set(level)
+        for e1 in level:
+            for e2 in level:
+                c = orbit_compose(e1, e2)
+                if not c.is_zero:
+                    nxt.add(c)
+                if len(nxt) > cap:
+                    raise SaturationCapExceeded(cap, nxt)
+        if nxt == level:
+            return
+        level = nxt
+        yield level
+
+
+def _cap_round(levels):
+    """The round in which the cap stopped the search, or None."""
+    done = 0
+    try:
+        for _ in levels:
+            done += 1
+    except SaturationCapExceeded:
+        return done - 1
+    return None
+
+
+@pytest.mark.parametrize("name", [*NAMES, "fam_3_2"])
+def test_level_sets_match_naive_squaring(split_corpus, name):
+    """Semi-naive rounds build the level set of naive squaring at every
+    depth up to the fixpoint, and a cap stops both in the same round."""
+    rs = (region_split(parse_automaton(FAM_3_2)) if name == "fam_3_2"
+          else split_corpus[name])
+    for kind in KINDS:
+        levels = list(_reference_levels(rs, kind))
+        depth = len(levels) - 1
+        for h in range(depth + 2):
+            assert _level_sets(rs, kind, h) == levels[min(h, depth)], (kind, h)
+        # caps that the level first exceeds in the first, a middle and the
+        # last round
+        sizes = [len(level) for level in levels]
+        for cap in {sizes[0] - 1, sizes[depth // 2], sizes[depth] - 1} - {0}:
+            stop = _cap_round(_reference_levels(rs, kind, cap))
+            assert (stop is None) == (cap >= sizes[depth]), (kind, cap)
+            for h in range(depth + 2):
+                try:
+                    _level_sets(rs, kind, h, cap)
+                    raised = False
+                except SaturationCapExceeded:
+                    raised = True
+                assert raised == (stop is not None and h > stop), (kind, cap, h)
 
 
 @pytest.mark.parametrize("name", [*NAMES, "fam_3_2"])

@@ -180,6 +180,24 @@ location q initial x=0 accepting
 starting q x>1, frac(x)=0
 """
 
+# a region with two integer parts for x; each other case swaps in its atoms
+STARTING_CONTRADICTS = """automaton s
+clocks x y
+alphabet a
+location q initial accepting
+location p
+starting q ⌊x⌋=0, frac(x)=0, ⌊y⌋=0, frac(y)=0
+starting p {atoms}
+"""
+
+# x=2 makes the max constant 2, so x>1 is not above it
+STARTING_ABOVE_LITERAL_LOW = """automaton s
+clocks x
+alphabet a
+location q initial x=2 accepting
+starting q x>1
+"""
+
 STARTING_MISSES_INITIAL = """automaton s
 clocks x
 alphabet a
@@ -236,6 +254,25 @@ starting q ⌊x⌋=0
                  ["bandwidth", "s.ta", "--T", "1,2", "--eps", "1/2"],
                  "initial vector violates the starting constraint",
                  id="starting-misses-initial-vector"),
+    pytest.param({}, {"s.ta": STARTING_CONTRADICTS.format(
+                     atoms="frac(x)=0, frac(x)=frac(y), ⌊x⌋=1, ⌊x⌋=2")},
+                 ["regionize", "s.ta"], "clock 'x' has two integer parts",
+                 id="starting-two-integer-parts"),
+    pytest.param({}, {"s.ta": STARTING_CONTRADICTS.format(
+                     atoms="frac(x)=0, frac(x)=frac(y)")},
+                 ["regionize", "s.ta"], "equates a zero and a positive fraction",
+                 id="starting-zero-equals-positive"),
+    pytest.param({}, {"s.ta": STARTING_CONTRADICTS.format(
+                     atoms="frac(y)=0, frac(x)<frac(y)")},
+                 ["regionize", "s.ta"], "puts a fraction below zero",
+                 id="starting-fraction-below-zero"),
+    pytest.param({}, {"s.ta": STARTING_CONTRADICTS.format(
+                     atoms="frac(x)=frac(y), frac(y)<frac(x)")},
+                 ["regionize", "s.ta"], "orders two equal fractions",
+                 id="starting-equal-fractions-ordered"),
+    pytest.param({}, {"s.ta": STARTING_ABOVE_LITERAL_LOW}, ["validate", "s.ta"],
+                 "x>1 in the starting line of 'q' is below the max constant 2; "
+                 "write x>M", id="starting-above-literal-below-bound"),
     pytest.param({}, {"big.ta": BIG_CONSTANT}, ["--json", "classify", "big.ta"],
                  "region splitting exceeded the cap of 1000000",
                  id="region-split-over-cap"),
@@ -306,3 +343,16 @@ def test_other_reports_byte_stable(capsys, corpus_dir):
         second = run(capsys, *argv)[1]
         assert _strip_wall_time(first) == _strip_wall_time(second)
         json.loads(first)  # well-formed
+
+
+def test_starting_region_reads_literal_bound_and_repeated_atoms():
+    """`x>k` with k the max constant is `x>M`, and repeating an atom
+    changes nothing."""
+    head = ("automaton s\nclocks x y\nalphabet a\n"
+            "location q initial accepting\nlocation p\n"
+            "edge q -> p on a guard x < 2\n"
+            "starting q ⌊x⌋=0, frac(x)=0, ⌊y⌋=0, frac(y)=0\n")
+    literal = parse_automaton(head + "starting p x>2, ⌊y⌋=1, ⌊y⌋=1, frac(y)=0\n")
+    symbolic = parse_automaton(head + "starting p x>M, ⌊y⌋=1, frac(y)=0\n")
+    assert literal.regions == symbolic.regions
+    assert literal.regions["p"].int_part == (None, 1)

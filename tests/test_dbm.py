@@ -5,7 +5,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tempoclass.corpus import automaton
+from conftest import random_paths
+from tempoclass.corpus import NAMES, automaton
 from tempoclass.dbm import (Dbm, Interval, canonicalize, language_class,
                             path_timing_dbm, project, project_raw)
 from tempoclass.splitting import region_split
@@ -276,3 +277,27 @@ def test_dump_format():
     d.tighten(1, 0, F(-1, 2))
     assert d.dump().splitlines() == ["0,2", "-1/2,0"]
     assert Dbm(1).dump().splitlines() == ["0,inf", "inf,0"]
+
+
+def _all_entries_int(d):
+    return all(v is None or type(v) is int for row in d.entries for v in row)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_integer_vertices_match_fraction_vertices(split_corpus, rng, name):
+    """Integer vertices give the classes `Fraction` vertices give, on every
+    edge and on random paths, and keep every entry a plain `int`."""
+    rs = split_corpus[name]
+    for path in [[e] for e in rs.edges] + random_paths(rs, rng, 30):
+        for v in rs.location_vertices(path[0].src):
+            for w in rs.location_vertices(path[-1].dst):
+                lc = language_class(rs, path, v, w)
+                assert lc == language_class(rs, path, tuple(map(F, v)),
+                                            tuple(map(F, w))), (path, v, w)
+                d = path_timing_dbm(rs, path, v, w)
+                assert _all_entries_int(d), (path, v, w)
+                closed = canonicalize(d)
+                assert closed is None or _all_entries_int(closed), (path, v, w)
+                if lc.duration is not None:
+                    assert type(lc.duration.lo) is int
+                    assert lc.duration.hi is None or type(lc.duration.hi) is int

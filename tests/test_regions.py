@@ -6,9 +6,10 @@ import pytest
 from tempoclass.corpus import NAMES, automaton
 from tempoclass.regions import (barycentric_coordinates, region_equivalent,
                                 region_of, singleton_region, time_successor_chain)
-from tempoclass.splitting import (closed_predecessor, closed_successor,
+from tempoclass.splitting import (_guard_on, closed_predecessor, closed_successor,
                                   region_split)
-from tempoclass.ta import TAError, check_deterministic, parse_automaton
+from tempoclass.ta import (RELATIONS, ClockConstraint, Guard, TAError,
+                           check_deterministic, parse_automaton)
 
 
 def test_region_of_origin():
@@ -128,15 +129,35 @@ def test_reset_examples():
 
 
 def test_reset_matches_sampling_oracle(rng):
-    for _ in range(200):
+    """Reset on the region's structure agrees with resetting a point of it,
+    for up to three clocks, some of them well above the bound."""
+    for _ in range(600):
         bound = rng.randrange(1, 4)
-        n = rng.randrange(1, 3)
-        x = tuple(F(rng.randrange(0, (bound + 1) * 8), 8) for _ in range(n))
+        n = rng.randrange(1, 4)
+        x = tuple(F(rng.randrange(0, (bound + 3) * 8), 8) for _ in range(n))
         r = region_of(x, bound)
         resets = [i for i in range(n) if rng.random() < 0.5]
         image = r.reset(resets)
         y = tuple(F(0) if i in resets else v for i, v in enumerate(x))
         assert region_of(y, bound) == image
+
+
+def test_guard_on_matches_representative(rng):
+    """Each atom is decided from integer parts and zero-fraction flags alone,
+    as `Guard.holds` decides it at the region's representative, for atom
+    bounds up to the region's bound."""
+    clocks = ["x", "y", "z"]
+    for _ in range(2000):
+        bound = rng.randrange(0, 4)
+        n = rng.randrange(1, 4)
+        point = tuple(F(rng.randrange(0, (bound + 2) * 4), 4) for _ in range(n))
+        region = region_of(point, bound)
+        atoms = tuple(ClockConstraint(rng.choice(clocks[:n]), rng.choice(RELATIONS),
+                                      rng.randrange(0, bound + 1))
+                      for _ in range(rng.randrange(1, 4)))
+        rep = dict(zip(clocks, region.representative()))
+        assert _guard_on(region, atoms, clocks[:n]) == Guard(atoms).holds(rep), \
+            (region, atoms)
 
 
 # -- region splitting -----------------------------------------------------------
