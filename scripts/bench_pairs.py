@@ -15,9 +15,10 @@ won (ties count for neither side) and two verdicts:
 * ``REGRESSION`` when the change's median is worse than the parent's by more
   than the metric's bound.
 
-It also prints the failed and attempted operations of each side.  Standard
-library only; a parent checkout can be made with ``git worktree add`` or
-``git archive``.
+It also prints the failed and attempted operations of each side.  With
+``--out FILE`` it also writes all of this, with every run's value, as
+JSON to FILE, rewritten after each workload.  Standard library only; a
+parent checkout can be made with ``git worktree add`` or ``git archive``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(metric: dict, parent: list[float], change: list[float]) -> str:
+def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
+    """Both sides' values, medians and quartiles, the change's wins and the
+    verdicts of one end-to-end metric."""
     lower = metric["better"] == "lower"
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     p1, pm, p3 = quartiles(parent)
@@ -62,10 +65,21 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> str:
         verdict.append("gain")
     if worse:
         verdict.append("REGRESSION")
-    return (f"  {metric['name']:<12} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  "
-            f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]  {100 * rel:+.1f}%  "
-            f"wins {wins}/{len(parent)}  bound {metric['bound']:.0%}"
-            + (f"  {' '.join(verdict)}" if verdict else ""))
+    return {"unit": metric["unit"], "better": metric["better"],
+            "bound": metric["bound"],
+            "parent": {"values": parent, "median": pm, "quartiles": [p1, p3]},
+            "change": {"values": change, "median": cm, "quartiles": [c1, c3]},
+            "relative_change": rel, "wins": wins, "pairs": len(parent),
+            "verdict": verdict}
+
+
+def summary_line(name: str, s: dict) -> str:
+    (p1, p3), (c1, c3) = s["parent"]["quartiles"], s["change"]["quartiles"]
+    return (f"  {name:<12} parent {s['parent']['median']:.4g} [{p1:.4g}, {p3:.4g}]  "
+            f"change {s['change']['median']:.4g} [{c1:.4g}, {c3:.4g}]  "
+            f"{100 * s['relative_change']:+.1f}%  wins {s['wins']}/{s['pairs']}  "
+            f"bound {s['bound']:.0%}"
+            + (f"  {' '.join(s['verdict'])}" if s["verdict"] else ""))
 
 
 def main(argv=None) -> int:
@@ -76,6 +90,8 @@ def main(argv=None) -> int:
                    help="workload to run (repeatable); default: every one")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--out", type=Path,
+                   help="also write the results as JSON to this file")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -84,6 +100,8 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in manifest["workloads"]]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
+    report = {"pairs": args.pairs, "seed": args.seed,
+              "run_seconds": manifest["run_seconds"], "workloads": {}}
     for workload in workloads:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for i in range(args.pairs):
@@ -95,13 +113,23 @@ def main(argv=None) -> int:
                     f"{k}={v['value']:.4g}" for k, v in out["metrics"].items()),
                     flush=True)
         print(f"{workload}: {args.pairs} pairs, seed {args.seed}")
+        entry: dict = {"operations": {}, "metrics": {}}
         for side, outs in runs.items():
-            print(f"  {side} failed {sum(o['failed'] for o in outs)} of "
-                  f"{sum(o['attempted'] for o in outs)} operations")
+            ops = {"failed": sum(o["failed"] for o in outs),
+                   "attempted": sum(o["attempted"] for o in outs),
+                   "correct": all(o["correct"] for o in outs)}
+            entry["operations"][side] = ops
+            print(f"  {side} failed {ops['failed']} of {ops['attempted']} operations"
+                  + ("" if ops["correct"] else ", INCORRECT outputs"))
         for metric in manifest["end_to_end"]:
             name = metric["name"]
-            print(summarize(metric, [o["metrics"][name]["value"] for o in runs["parent"]],
-                            [o["metrics"][name]["value"] for o in runs["change"]]))
+            s = summarize(metric, [o["metrics"][name]["value"] for o in runs["parent"]],
+                          [o["metrics"][name]["value"] for o in runs["change"]])
+            entry["metrics"][name] = s
+            print(summary_line(name, s))
+        report["workloads"][workload] = entry
+        if args.out:
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 

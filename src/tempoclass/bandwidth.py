@@ -11,6 +11,7 @@ separated-set size over the slice.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -51,6 +52,16 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
     witness and replays successfully.
     """
     grid = Fraction(grid)
+    ordered = _grid_words(a, duration, grid, cap)
+    scale = grid.denominator
+    dates = {t: Fraction(t, scale) for t in {t for w in ordered for _, t in w}}
+    return [TimedWord(tuple((l, dates[t]) for l, t in w)) for w in ordered]
+
+
+def _grid_words(a, duration: Fraction, grid: Fraction, cap: int) -> list[tuple]:
+    """The words of `enumerate_words` as event tuples whose dates are in grid
+    units (date times `grid.denominator`), in `_grid_key` order."""
+    grid = Fraction(grid)
     duration = Fraction(duration)
     _power_of_two_grid(grid)
     if duration < 0:
@@ -87,7 +98,7 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
     compiled = {}
     for e in a.edges:
         resets = frozenset(a.clock_index(c) for c in e.resets)
-        compiled[e.name] = (e, *bounds(e.guard), resets)
+        compiled[e.name] = (e, *bounds(e.guard), resets, frozenset((e.label,)))
     out_edges = {q: [compiled[e.name] for e in a.edges_from(q)] for q in a.locations}
     check_start = bool(getattr(a, "regions", None))
     accepting = {q: bounds(g) for q, g in a.accepting.items()}
@@ -105,21 +116,13 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
                 return False
         return True
 
-    def landing_ok(dst: str, landed) -> bool:
-        if not check_start:
-            return True
-        return a.starting_ok(dst, tuple(Fraction(v, scale) for v in landed))
-
     # canonical (sorted) event multiset -> a feasible firing order
     words: dict[tuple, tuple] = {}
     budget = [cap]
 
-    def emit(events: list):
-        words.setdefault(tuple(sorted(events)), tuple(events))
-
     start_clocks = tuple(units(x) for x in start.clocks)
     if a.is_accepting(start.location, start.clocks):
-        emit([])
+        words[()] = ()
 
     def explore(loc: str, clocks: tuple, date: int, events: list,
                 chain: set, letters: frozenset):
@@ -129,7 +132,7 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
         # each edge's window [lo, hi] of delays that satisfy its guard
         longest = min(max_delay, horizon - date)
         windows = []
-        for edge, lower, upper, resets in out_edges[loc]:
+        for edge, lower, upper, resets, label in out_edges[loc]:
             lo, hi = 0, longest
             for i, b in lower:
                 if b - clocks[i] > lo:
@@ -138,38 +141,38 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
                 if b - clocks[i] < hi:
                     hi = b - clocks[i]
             if lo <= hi:
-                windows.append((lo, hi, edge, resets))
+                windows.append((lo, hi, edge, resets, label))
         for k in _delays(windows):
             t = date + k
             tested = tuple(x + k for x in clocks) if k else clocks
-            for lo, hi, edge, resets in windows:
+            for lo, hi, edge, resets, label in windows:
                 if not lo <= k <= hi:
                     continue
                 landed = tuple(0 if i in resets else v
                                for i, v in enumerate(tested)) if resets else tested
-                if not landing_ok(edge.dst, landed):
+                if check_start and not a.starting_ok(
+                        edge.dst, tuple(Fraction(v, scale) for v in landed)):
                     continue
                 if k == 0:
-                    key = (edge.dst, landed, letters | {edge.label})
+                    next_letters = letters | label
+                    key = (edge.dst, landed, next_letters)
                     if key in chain:
                         continue
                     chain.add(key)
-                    next_chain, next_letters = chain, letters | {edge.label}
+                    next_chain = chain
                 else:
-                    next_chain = {(edge.dst, landed, frozenset((edge.label,)))}
-                    next_letters = frozenset((edge.label,))
+                    next_chain = {(edge.dst, landed, label)}
+                    next_letters = label
                 events.append((edge.label, t))
                 if accepts(edge.dst, landed):
-                    emit(events)
+                    words.setdefault(tuple(sorted(events)), tuple(events))
                 explore(edge.dst, landed, t, events, next_chain, next_letters)
                 events.pop()
 
     explore(start.location, start_clocks, 0, [],
             {(start.location, start_clocks, frozenset())}, frozenset())
     # no two event multisets share a key
-    ordered = sorted(words.values(), key=_grid_key)
-    dates = {t: Fraction(t, scale) for t in {t for w in ordered for _, t in w}}
-    return [TimedWord(tuple((l, dates[t]) for l, t in w)) for w in ordered]
+    return sorted(words.values(), key=_grid_key)
 
 
 def _grid_key(events: tuple) -> tuple:
@@ -179,11 +182,18 @@ def _grid_key(events: tuple) -> tuple:
 
 
 def _delays(windows):
-    """The delays lying in at least one (lo, hi, ...) window, ascending."""
-    nxt = 0
+    """The delays lying in at least one (lo, hi, ...) window, ascending;
+    overlapping and adjacent windows are merged into one range."""
+    if len(windows) == 1:
+        return range(windows[0][0], windows[0][1] + 1)
+    spans: list[range] = []
     for lo, hi in sorted(w[:2] for w in windows):
-        yield from range(max(nxt, lo), hi + 1)
-        nxt = max(nxt, hi + 1)
+        if spans and lo <= spans[-1].stop:
+            if hi >= spans[-1].stop:
+                spans[-1] = range(spans[-1].start, hi + 1)
+        else:
+            spans.append(range(lo, hi + 1))
+    return itertools.chain.from_iterable(spans)
 
 
 # -- integer-scaled distance for the greedy pass ------------------------------------
@@ -197,35 +207,18 @@ def _grid_units(t: Fraction, grid: Fraction) -> int:
     return num // den
 
 
-def _directed_gap(w: dict, v: dict, cutoff: int) -> bool:
-    """True when the directed distance exceeds the cutoff (grid units); the
-    two words have the same letter set."""
-    for letter, dates in w.items():
-        other = v[letter]
-        j = 0
-        last = len(other) - 1
-        for t in dates:
-            while j < last and other[j + 1] <= t:
-                j += 1
-            best = abs(t - other[j])
-            if j < last:
-                gap = other[j + 1] - t
-                if gap < best:
-                    best = gap
-            if best > cutoff:
-                return True
-    return False
-
-
-def _within(w: dict, v: dict, cutoff: int) -> bool:
-    return not (_directed_gap(w, v, cutoff) or _directed_gap(v, w, cutoff))
-
-
 def _positive_eps(eps) -> Fraction:
     eps = Fraction(eps)
     if eps <= 0:
         raise TAError(f"epsilon must be positive, got {eps}")
     return eps
+
+
+def _checked_grid(eps: Fraction, grid: Optional[Fraction]) -> Fraction:
+    grid = Fraction(grid) if grid is not None else eps / 2
+    if grid > eps / 2:
+        raise TAError("grid must be at most eps/2")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -258,46 +251,87 @@ def estimate_capacity(a, duration: Fraction, eps: Fraction,
     grid; `TAError` is raised otherwise.
     """
     eps = _positive_eps(eps)
-    grid = Fraction(grid) if grid is not None else eps / 2
-    if grid > eps / 2:
-        raise TAError("grid must be at most eps/2")
+    grid = _checked_grid(eps, grid)
     if words is None:
-        words = enumerate_words(a, duration, grid, cap)
-    if not words:
+        ordered = _grid_words(a, duration, grid, cap)
+    else:
+        ordered = sorted((tuple((letter, _grid_units(t, grid)) for letter, t in w.events)
+                          for w in words), key=_grid_key)
+    return _estimate(ordered, eps, grid)
+
+
+def _estimate(ordered: Sequence[tuple], eps: Fraction, grid: Fraction) -> CapacityEstimate:
+    if not ordered:
         return CapacityEstimate(0, 0, None)
     # distances between grid words are whole grid units, and an integer
     # exceeds eps/grid exactly when it exceeds its floor
-    cutoff = math.floor(eps / grid)
-    keyed = sorted(_grid_key(tuple((letter, _grid_units(t, grid))
-                                   for letter, t in w.events)) for w in words)
-    size = _greedy(keyed, cutoff)
-    return CapacityEstimate(len(words), size, math.log2(size))
+    size = _greedy(ordered, math.floor(eps / grid))
+    return CapacityEstimate(len(ordered), size, math.log2(size))
 
 
-def _greedy(keyed, cutoff: int) -> int:
+def _greedy(ordered: Sequence[tuple], cutoff: int) -> int:
     """Size of the set that keeps each word farther than the cutoff from
-    everything kept before, in key order.  Words at finite distance have the
-    same letter set, and two words within the cutoff have durations within
-    it (the later final event must find a match), so only the kept words of
-    one letter set in a trailing duration window need scanning.  They are
-    scanned latest first, where a near word is likelier.
+    everything kept before; `ordered` holds event tuples in grid units, in
+    `_grid_key` order.
+
+    A word is one integer with a lane of bits per letter, bit t of a lane
+    set when that letter occurs at date t; the lanes are far enough apart
+    that spreading every bit by the cutoff either way (the dilation) stays
+    off the dates of other lanes.  w is within the cutoff of v exactly when
+    w's bits lie inside v's dilation and v's inside w's: the distance only
+    sees the set of (letter, date) events, so repeated and simultaneous
+    events need no care.
+
+    Kept words are bucketed by letter set and by first date // (cutoff + 1).
+    Two words within the cutoff have the same letter set, first dates within
+    it (each first event must find a match no earlier than the other's first
+    event) and durations within it (likewise for the final events), so only
+    the trailing duration window of the buckets next to a word's own is
+    scanned.  Nearness is a yes/no answer, so the scan order does not matter.
     """
-    kept: dict[frozenset, tuple[list, list]] = {}
+    width = cutoff + 1
+    stride = max((events[-1][1] for events in ordered if events), default=0) + width
+    lanes: dict[str, tuple[int, int]] = {}
+    for events in ordered:
+        for letter, _ in events:
+            if letter not in lanes:
+                lanes[letter] = (len(lanes) * stride, 1 << len(lanes))
+    kept: dict[tuple[int, int], tuple[list, list]] = {}
     size = 0
-    for duration, _, events in keyed:
-        form: dict[str, list[int]] = {}
+    for events in ordered:
+        bits = letters = 0
         for letter, t in events:
-            form.setdefault(letter, []).append(t)
-        forms, durations = kept.setdefault(frozenset(form), ([], []))
-        window = range(bisect_left(durations, duration - cutoff), len(forms))
-        for i in reversed(window):
-            if _within(form, forms[i], cutoff):
-                break
-        else:
-            forms.append(form)
-            durations.append(duration)
-            size += 1
+            offset, lane = lanes[letter]
+            bits |= 1 << (offset + t)
+            letters |= lane
+        spread, reach = bits, 0   # bit t covers dates t .. t + reach
+        while reach < cutoff:
+            step = min(reach + 1, cutoff - reach)
+            spread |= spread << step
+            reach += step
+        outside = ~(spread | spread >> cutoff)
+        duration = events[-1][1] if events else 0
+        cell = events[0][1] // width if events else 0
+        buckets = (kept.get((letters, c)) for c in (cell, cell - 1, cell + 1))
+        if any(_near(b, bits, outside, duration - cutoff) for b in buckets if b):
+            continue
+        durations, forms = kept.setdefault((letters, cell), ([], []))
+        durations.append(duration)
+        forms.append((bits, outside))
+        size += 1
     return size
+
+
+def _near(bucket: tuple[list, list], bits: int, outside: int, since: int) -> bool:
+    """Whether a word of the bucket with duration at least `since` is within
+    the cutoff of the word with these bits and this dilation complement;
+    latest first, where a near word is likelier."""
+    durations, forms = bucket
+    for i in range(len(forms) - 1, bisect_left(durations, since) - 1, -1):
+        other, far = forms[i]
+        if not (bits & far or other & outside):
+            return True
+    return False
 
 
 # -- curves and asymptotic fits ------------------------------------------------------
@@ -333,22 +367,24 @@ def bandwidth_curve(a, durations: Sequence[Fraction], epss: Sequence[Fraction],
         except OverflowError:
             raise TAError("duration bound is too large for a float") from None
     epss = [_positive_eps(eps) for eps in epss]
+    # every grid is checked before anything is enumerated, so a bad grid
+    # fails even when an earlier slice would stop the curve at the word cap
     by_grid: dict[Fraction, list[int]] = {}
     for k, eps in enumerate(epss):
-        g = Fraction(grid) if grid is not None else eps / 2
+        g = _checked_grid(eps, grid)
+        _power_of_two_grid(g)
         by_grid.setdefault(g, []).append(k)
     best: list[Optional[CurveRow]] = [None] * len(epss)
     for g, members in by_grid.items():
-        _power_of_two_grid(g)
         for t in ts:
             if t % g != 0:
                 continue  # this duration does not align with this grid
             try:
-                words = enumerate_words(a, t, g, cap)
+                words = _grid_words(a, t, g, cap)
             except EnumerationCapExceeded:
                 break
             for k in members:
-                est = estimate_capacity(a, t, epss[k], g, words=words)
+                est = _estimate(words, epss[k], g)
                 if not est.empty:
                     assert est.capacity_bits is not None and est.entropy_bits is not None
                     best[k] = CurveRow(epss[k], t, g, est.capacity_bits,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 Vertex = tuple[int, ...]
@@ -85,6 +86,11 @@ class Region:
 
     def vertices(self) -> tuple[Vertex, ...]:
         """The dim+1 integer corner points, sorted lexicographically."""
+        return self._vertices
+
+    @cached_property
+    def _vertices(self) -> tuple[Vertex, ...]:
+        # kept in the instance dict, outside the fields that eq and hash read
         if not self.bounded:
             raise ValueError("vertices are defined for bounded regions only")
         pos = self.positive_blocks

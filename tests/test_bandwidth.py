@@ -1,14 +1,16 @@
 import importlib
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from tempoclass.bandwidth import (CurveRow, EnumerationCapExceeded,
+from tempoclass.bandwidth import (DEFAULT_WORD_CAP, CurveRow,
+                                  EnumerationCapExceeded, _grid_words,
                                   bandwidth_curve, curve_csv, enumerate_words,
                                   estimate_capacity, fit_class)
-from tempoclass.corpus import automaton
+from tempoclass.corpus import NAMES, automaton
 from tempoclass.ta import TAError, parse_automaton, step
 from tempoclass.words import greedy_separated, timed_word
 
@@ -165,22 +167,43 @@ def test_grid_validation():
         enumerate_words(automaton("a5"), F(2), F(1, 2), cap=0)
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_grid_words_match_enumerate_words(name):
+    """The integer enumerator behind the curve gives `enumerate_words`'s
+    words in the same order, with the dates times the grid's denominator."""
+    a = automaton(name)
+    for duration, grid in [(F(2), F(1, 2)), (F(1), F(1, 4)), (F(3, 8), F(1, 8))]:
+        scale = grid.denominator
+        assert _grid_words(a, duration, grid, DEFAULT_WORD_CAP) == [
+            tuple((letter, t * scale) for letter, t in w.events)
+            for w in enumerate_words(a, duration, grid)]
+
+
+def test_grid_words_stop_at_the_cap_like_enumerate_words():
+    a = automaton("a1")
+    with pytest.raises(EnumerationCapExceeded) as public:
+        enumerate_words(a, F(3, 4), F(1, 8), cap=2_000)
+    with pytest.raises(EnumerationCapExceeded) as private:
+        _grid_words(a, F(3, 4), F(1, 8), 2_000)
+    assert private.value.words_so_far == public.value.words_so_far > 0
+
+
 def test_curve_enumerates_each_grid_slice_once(monkeypatch):
     bandwidth = importlib.import_module("tempoclass.bandwidth")
-    real = bandwidth.enumerate_words
+    real = bandwidth._grid_words
     slices = []
 
     def counting(a, duration, grid, cap):
         slices.append((duration, grid))
         return real(a, duration, grid, cap)
 
-    monkeypatch.setattr(bandwidth, "enumerate_words", counting)
+    monkeypatch.setattr(bandwidth, "_grid_words", counting)
     a = automaton("a6")
     epss = [F(1, 2), F(1, 3), F(1, 5)]
     rows = bandwidth_curve(a, [F(3, 2), F(2)], epss, grid=F(1, 16))
     assert slices == [(F(3, 2), F(1, 16)), (F(2), F(1, 16))]
     # the same rows as one estimate per eps on its own enumeration
-    monkeypatch.setattr(bandwidth, "enumerate_words", real)
+    monkeypatch.setattr(bandwidth, "_grid_words", real)
     assert [(r.eps, r.duration, r.word_count, r.capacity_bits) for r in rows] == [
         (eps, F(2), est.word_count, est.capacity_bits)
         for eps in epss
@@ -217,9 +240,76 @@ def test_greedy_matches_exact_distance_oracle(name, duration, grid, epss):
     random.Random(7).shuffle(shuffled)
     for eps in epss:
         expected = len(greedy_separated(words, eps))
+        assert _merge_greedy(words, grid, eps) == expected
         for given in (words, shuffled, shuffled + words[:5]):
             est = estimate_capacity(a, duration, eps, grid, words=given)
             assert est.separated_size == expected, (eps, len(given))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_greedy_matches_oracles_on_random_words(seed):
+    """Word sets with simultaneous events and with one letter repeated at a
+    date, at cutoffs 2 to 5 grid units (whole and fractional eps/grid): the
+    greedy keeps as many words as the exact-distance greedy and as the
+    per-date merge greedy."""
+    rng = random.Random(seed)
+    grid = F(1, 8)
+    words = []
+    for _ in range(60):
+        events = []
+        for t in sorted(rng.choices(range(13), k=rng.randrange(5))):
+            events.append((rng.choice("abc"), t * grid))
+            if rng.random() < 0.3:
+                events.append((rng.choice("abc"), t * grid))  # simultaneous
+            if rng.random() < 0.2:
+                events.append(events[-1])                    # repeated
+        words.append(timed_word(events))
+    for cutoff in range(2, 6):
+        for eps in (cutoff * grid, (cutoff + F(1, 3)) * grid):
+            expected = len(greedy_separated(words, eps))
+            assert _merge_greedy(words, grid, eps) == expected, (cutoff, eps)
+            est = estimate_capacity(automaton("a1"), F(2), eps, grid, words=words)
+            assert est.separated_size == expected, (cutoff, eps)
+
+
+def _merge_greedy(words, grid, eps) -> int:
+    """The greedy with a per-date merge of each letter's sorted dates in grid
+    units, scanning every earlier kept word of the same letter set."""
+    cutoff = math.floor(eps / grid)
+    keyed = sorted((w.duration, len(w), tuple((l, int(t / grid)) for l, t in w.events))
+                   for w in words)
+    kept: dict[frozenset, list] = {}
+    size = 0
+    for _, _, events in keyed:
+        form: dict[str, list[int]] = {}
+        for letter, t in events:
+            form.setdefault(letter, []).append(t)
+        forms = kept.setdefault(frozenset(form), [])
+        if not any(not (_directed_gap(form, other, cutoff)
+                        or _directed_gap(other, form, cutoff)) for other in forms):
+            forms.append(form)
+            size += 1
+    return size
+
+
+def _directed_gap(w: dict, v: dict, cutoff: int) -> bool:
+    """True when some date of w has no same-letter date of v within the
+    cutoff; both words have the same letter set and sorted dates."""
+    for letter, dates in w.items():
+        other = v[letter]
+        j = 0
+        last = len(other) - 1
+        for t in dates:
+            while j < last and other[j + 1] <= t:
+                j += 1
+            best = abs(t - other[j])
+            if j < last:
+                gap = other[j + 1] - t
+                if gap < best:
+                    best = gap
+            if best > cutoff:
+                return True
+    return False
 
 
 def test_words_off_the_grid_rejected():

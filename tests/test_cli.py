@@ -230,6 +230,9 @@ starting q ⌊x⌋=0
     pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "2", "--eps", "1/2",
                           "--grid", "0"],
                  "grid must be 1/2^k", id="grid-zero"),
+    pytest.param({}, {}, ["bandwidth", "a1.ta", "--T", "4", "--eps", "1/8",
+                          "--grid", "1/8"],
+                 "grid must be at most eps/2", id="grid-too-coarse-slice-over-cap"),
     pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "2", "--eps", "1/2",
                           "--word-cap", "0"],
                  "word cap must be a positive integer", id="word-cap-zero"),
