@@ -5,8 +5,11 @@ capping per-step delays at the max constant plus one (longer waits move events
 later without adding choices), trying only the delays inside some out-edge's
 guard window, and collapsing words that differ only in the
 order or multiplicity of simultaneous events (the pseudo-metric cannot tell
-them apart).  Capacity and entropy estimates come from the greedy
-separated-set size over the slice.
+them apart).  The word cap bounds its search states.  A second walker over
+the same compiled slice counts those states without building words,
+memoised per instant, and the curve uses it to find the first slice over the
+cap without enumerating it.  Capacity and entropy estimates come from the
+greedy separated-set size over the slice.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .ta import TAError
 from .words import INF, TimedWord
@@ -58,9 +61,26 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
     return [TimedWord(tuple((l, dates[t]) for l, t in w)) for w in ordered]
 
 
-def _grid_words(a, duration: Fraction, grid: Fraction, cap: int) -> list[tuple]:
-    """The words of `enumerate_words` as event tuples whose dates are in grid
-    units (date times `grid.denominator`), in `_grid_key` order."""
+class _Slice(NamedTuple):
+    """A validated grid slice compiled for its two walkers, `_grid_words` and
+    `_search_states`; clocks and dates are in grid units."""
+    location: str                 # the start state
+    clocks: tuple
+    accepts_empty: bool           # whether the start state accepts
+    accepts: Callable             # (location, clocks) -> bool
+    steps: Callable               # (location, clocks, date) -> list of moves
+
+
+def _compile_slice(a, duration: Fraction, grid: Fraction, cap: int) -> Optional[_Slice]:
+    """Check the slice's bounds and compile the automaton's guards to grid
+    units; None when the automaton has no locations.
+
+    `steps(loc, clocks, date)` lists the search's moves from a state as
+    (delay, edge, clocks on landing, the edge's letter as a set): delays
+    ascending and, at each delay, the edges in declaration order whose guard
+    holds, whose delay stays within maxConstant + 1 and the horizon, and whose
+    target's starting region (if any) admits the landing clocks.  Each list
+    is built once per slice and shared; callers must not change it."""
     grid = Fraction(grid)
     duration = Fraction(duration)
     _power_of_two_grid(grid)
@@ -71,7 +91,7 @@ def _grid_words(a, duration: Fraction, grid: Fraction, cap: int) -> list[tuple]:
     if duration % grid != 0:
         raise TAError("duration bound must be a multiple of the grid")
     if not a.locations:
-        return []
+        return None
     start = a.initial_state()
     scale = grid.denominator  # dates and clocks in integer grid units below
     horizon = int(duration * scale)
@@ -116,21 +136,19 @@ def _grid_words(a, duration: Fraction, grid: Fraction, cap: int) -> list[tuple]:
                 return False
         return True
 
-    # canonical (sorted) event multiset -> a feasible firing order
-    words: dict[tuple, tuple] = {}
-    budget = [cap]
+    # the moves depend on the date only through the longest delay it allows
+    cache: dict[tuple, list] = {}
 
-    start_clocks = tuple(units(x) for x in start.clocks)
-    if a.is_accepting(start.location, start.clocks):
-        words[()] = ()
-
-    def explore(loc: str, clocks: tuple, date: int, events: list,
-                chain: set, letters: frozenset):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise EnumerationCapExceeded(cap, len(words))
-        # each edge's window [lo, hi] of delays that satisfy its guard
+    def steps(loc: str, clocks: tuple, date: int) -> list[tuple]:
         longest = min(max_delay, horizon - date)
+        key = (loc, clocks, longest)
+        moves = cache.get(key)
+        if moves is None:
+            moves = cache[key] = moves_from(loc, clocks, longest)
+        return moves
+
+    def moves_from(loc: str, clocks: tuple, longest: int) -> list[tuple]:
+        # each edge's window [lo, hi] of delays that satisfy its guard
         windows = []
         for edge, lower, upper, resets, label in out_edges[loc]:
             lo, hi = 0, longest
@@ -142,8 +160,8 @@ def _grid_words(a, duration: Fraction, grid: Fraction, cap: int) -> list[tuple]:
                     hi = b - clocks[i]
             if lo <= hi:
                 windows.append((lo, hi, edge, resets, label))
+        moves = []
         for k in _delays(windows):
-            t = date + k
             tested = tuple(x + k for x in clocks) if k else clocks
             for lo, hi, edge, resets, label in windows:
                 if not lo <= k <= hi:
@@ -153,26 +171,97 @@ def _grid_words(a, duration: Fraction, grid: Fraction, cap: int) -> list[tuple]:
                 if check_start and not a.starting_ok(
                         edge.dst, tuple(Fraction(v, scale) for v in landed)):
                     continue
-                if k == 0:
-                    next_letters = letters | label
-                    key = (edge.dst, landed, next_letters)
-                    if key in chain:
-                        continue
-                    chain.add(key)
-                    next_chain = chain
-                else:
-                    next_chain = {(edge.dst, landed, label)}
-                    next_letters = label
-                events.append((edge.label, t))
-                if accepts(edge.dst, landed):
-                    words.setdefault(tuple(sorted(events)), tuple(events))
-                explore(edge.dst, landed, t, events, next_chain, next_letters)
-                events.pop()
+                moves.append((k, edge, landed, label))
+        return moves
 
-    explore(start.location, start_clocks, 0, [],
-            {(start.location, start_clocks, frozenset())}, frozenset())
+    start_clocks = tuple(units(x) for x in start.clocks)
+    return _Slice(start.location, start_clocks,
+                  a.is_accepting(start.location, start.clocks), accepts, steps)
+
+
+def _grid_words(a, duration: Fraction, grid: Fraction, cap: int) -> list[tuple]:
+    """The words of `enumerate_words` as event tuples whose dates are in grid
+    units (date times `grid.denominator`), in `_grid_key` order."""
+    s = _compile_slice(a, duration, grid, cap)
+    if s is None:
+        return []
+    accepts, steps = s.accepts, s.steps
+    # canonical (sorted) event multiset -> a feasible firing order
+    words: dict[tuple, tuple] = {}
+    budget = [cap]
+    if s.accepts_empty:
+        words[()] = ()
+
+    def explore(loc: str, clocks: tuple, date: int, events: list,
+                chain: set, letters: frozenset):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise EnumerationCapExceeded(cap, len(words))
+        for k, edge, landed, label in steps(loc, clocks, date):
+            if k == 0:
+                next_letters = letters | label
+                key = (edge.dst, landed, next_letters)
+                if key in chain:
+                    continue
+                chain.add(key)
+                next_chain = chain
+            else:
+                next_chain = {(edge.dst, landed, label)}
+                next_letters = label
+            events.append((edge.label, date + k))
+            if accepts(edge.dst, landed):
+                words.setdefault(tuple(sorted(events)), tuple(events))
+            explore(edge.dst, landed, date + k, events, next_chain, next_letters)
+            events.pop()
+
+    explore(s.location, s.clocks, 0, [], {(s.location, s.clocks, frozenset())},
+            frozenset())
     # no two event multisets share a key
     return sorted(words.values(), key=_grid_key)
+
+
+def _search_states(a, duration: Fraction, grid: Fraction, cap: int) -> int:
+    """The number of `explore` calls `_grid_words` makes on the slice, or
+    cap + 1 once it exceeds the cap; the same errors, in the same order.
+
+    The enumerator shares one `chain` set across an instant, so the states an
+    instant explores are those its entry reaches by zero-delay moves, whatever
+    the search order; each one is one call plus the instants its positive
+    delays open.  An instant's calls depend only on its entry (location,
+    clocks, date, letter), which is the memo key.  Counts above the cap are
+    all reported as cap + 1, so no count ever grows past it."""
+    s = _compile_slice(a, duration, grid, cap)
+    if s is None:
+        return 0
+    steps, over = s.steps, cap + 1
+    memo: dict[tuple, int] = {}
+
+    def instant(entry: tuple, date: int) -> int:
+        seen = {entry}
+        todo = [entry]
+        total = 0
+        while todo:
+            loc, clocks, letters = todo.pop()
+            total += 1
+            if total > cap:
+                return over
+            for k, edge, landed, label in steps(loc, clocks, date):
+                if k == 0:
+                    key = (edge.dst, landed, letters | label)
+                    if key not in seen:
+                        seen.add(key)
+                        todo.append(key)
+                    continue
+                key, t = (edge.dst, landed, label), date + k
+                sub = memo.get((key, t))
+                if sub is None:
+                    sub = memo[key, t] = instant(key, t)
+                total += sub
+                if total > cap:
+                    return over
+        return total
+
+    return instant((s.location, s.clocks, frozenset()), 0)
 
 
 def _grid_key(events: tuple) -> tuple:
@@ -355,9 +444,10 @@ def bandwidth_curve(a, durations: Sequence[Fraction], epss: Sequence[Fraction],
                     grid: Optional[Fraction] = None,
                     cap: int = DEFAULT_WORD_CAP) -> list[CurveRow]:
     """One row per eps at the largest duration whose enumeration stays under
-    the cap; durations are tried in increasing order.  The eps values that
-    share a grid share each enumerated slice, which is dropped before the
-    next one is enumerated."""
+    the cap; durations are tried in increasing order, and a slice over the
+    cap is found by counting its search states, never enumerated.  The eps
+    values that share a grid share each enumerated slice, which is dropped
+    before the next one is enumerated."""
     ts = sorted(Fraction(t) for t in durations)
     if ts and ts[0] <= 0:
         raise TAError(f"duration bound must be positive, got {ts[0]}")
@@ -379,10 +469,9 @@ def bandwidth_curve(a, durations: Sequence[Fraction], epss: Sequence[Fraction],
         for t in ts:
             if t % g != 0:
                 continue  # this duration does not align with this grid
-            try:
-                words = _grid_words(a, t, g, cap)
-            except EnumerationCapExceeded:
+            if _search_states(a, t, g, cap) > cap:
                 break
+            words = _grid_words(a, t, g, cap)
             for k in members:
                 est = _estimate(words, epss[k], g)
                 if not est.empty:

@@ -281,16 +281,6 @@ def guards_bounded_nonpunctual(a: TimedAutomaton) -> bool:
     return True
 
 
-def structurally_zeno(e: OrbitElement) -> bool:
-    """Diagnostic: every self-loop instant and at least one slow edge."""
-    if not e.cyclic:
-        raise ValueError("structural Zenoness is a property of cyclic orbits")
-    assert e.matrix is not None
-    if any(v not in (0, INSTANT) for v in e.diagonal()):
-        return False
-    return any(v == SLOW for row in e.matrix for v in row)
-
-
 # -- the classification driver ------------------------------------------------------
 
 

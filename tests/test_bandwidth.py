@@ -8,10 +8,10 @@ import pytest
 
 from tempoclass.bandwidth import (DEFAULT_WORD_CAP, CurveRow,
                                   EnumerationCapExceeded, _grid_words,
-                                  bandwidth_curve, curve_csv, enumerate_words,
-                                  estimate_capacity, fit_class)
+                                  _search_states, bandwidth_curve, curve_csv,
+                                  enumerate_words, estimate_capacity, fit_class)
 from tempoclass.corpus import NAMES, automaton
-from tempoclass.ta import TAError, parse_automaton, step
+from tempoclass.ta import TAError, TimedAutomaton, parse_automaton, step
 from tempoclass.words import greedy_separated, timed_word
 
 
@@ -186,6 +186,91 @@ def test_grid_words_stop_at_the_cap_like_enumerate_words():
     with pytest.raises(EnumerationCapExceeded) as private:
         _grid_words(a, F(3, 4), F(1, 8), 2_000)
     assert private.value.words_so_far == public.value.words_so_far > 0
+
+
+# T=0 explores only the start instant; (2, 1/4) and (12, 1/2) are over the
+# cap on a1, a3 and a7, and only (12, 1/2) lets a4 and a5 fire an edge
+COUNTED_SLICES = [(F(0), F(1, 2)), (F(1), F(1, 2)), (F(3, 8), F(1, 8)),
+                  (F(1), F(1, 4)), (F(2), F(1, 4)), (F(12), F(1, 2))]
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["plain", "split"])
+@pytest.mark.parametrize("name", NAMES)
+def test_search_states_count_the_enumeration_exactly(name, split, split_corpus):
+    """The counter's result c is the smallest cap under which the slice
+    enumerates; over the cap it reports cap + 1, and the enumeration stops."""
+    a = split_corpus[name] if split else automaton(name)
+    cap = 20_000
+    for duration, grid in COUNTED_SLICES:
+        c = _search_states(a, duration, grid, cap)
+        if c > cap:
+            assert c == cap + 1
+            with pytest.raises(EnumerationCapExceeded):
+                _grid_words(a, duration, grid, cap)
+            continue
+        assert c >= 1
+        assert _search_states(a, duration, grid, c) == c
+        _grid_words(a, duration, grid, c)
+        if c > 1:
+            assert _search_states(a, duration, grid, c - 1) == c
+        with pytest.raises(EnumerationCapExceeded if c > 1 else TAError):
+            _grid_words(a, duration, grid, c - 1)
+
+
+@pytest.mark.parametrize("name, duration, grid, needed, words_at_half", [
+    ("a6", F(2), F(1, 8), 121, 61),
+    ("a4", F(10), F(1, 4), 133, 57),
+    ("a1", F(3, 4), F(1, 8), 62_500, 8_193),
+])
+def test_search_states_give_the_enumeration_budget(name, duration, grid, needed,
+                                                   words_at_half):
+    """`test_enumeration_budget`'s smallest caps, from the counter alone; a
+    result is cap + 1 exactly when the slice needs more than the cap."""
+    a = automaton(name)
+    assert _search_states(a, duration, grid, DEFAULT_WORD_CAP) == needed
+    for cap in (needed, needed + 1, 10 * needed):
+        assert _search_states(a, duration, grid, cap) == needed
+    for cap in (needed - 1, needed // 2, 1):
+        assert _search_states(a, duration, grid, cap) == cap + 1
+
+
+def test_search_states_of_an_automaton_without_locations():
+    empty = TimedAutomaton("empty", ("x",), ("a",), (), (), {}, {})
+    assert _search_states(empty, F(2), F(1, 2), 10) == 0
+    assert _grid_words(empty, F(2), F(1, 2), 10) == []
+
+
+def test_search_states_check_the_slice_like_the_enumerator():
+    a = automaton("a5")
+    for duration, grid, cap in [(F(2), F(1, 3), 10), (F(-2), F(1, 2), 10),
+                                (F(2), F(1, 2), 0), (F(5, 4), F(1, 2), 10)]:
+        with pytest.raises(TAError) as counted:
+            _search_states(a, duration, grid, cap)
+        with pytest.raises(TAError) as enumerated:
+            _grid_words(a, duration, grid, cap)
+        assert str(counted.value) == str(enumerated.value)
+
+
+def test_curve_enumerates_only_slices_under_the_cap(monkeypatch):
+    """The curve decides a cap hit by counting: a1's T=3/2 slice needs more
+    than 5,000 search states and is never enumerated."""
+    bandwidth = importlib.import_module("tempoclass.bandwidth")
+    real = bandwidth._grid_words
+    slices = []
+
+    def counting(a, duration, grid, cap):
+        slices.append((duration, grid))
+        return real(a, duration, grid, cap)
+
+    monkeypatch.setattr(bandwidth, "_grid_words", counting)
+    rows = bandwidth_curve(automaton("a1"), [F(3, 4), F(3, 2)], [F(1, 2), F(1)],
+                           grid=F(1, 4), cap=5_000)
+    assert slices == [(F(3, 4), F(1, 4))]
+    assert rows == [CurveRow(F(1, 2), F(3, 4), F(1, 4), 4.0, 4.0, 256),
+                    CurveRow(F(1), F(3, 4), F(1, 4), 2.0, 2.0, 256)]
+    # the T=3/4 slice takes exactly 500 states, so a cap of 500 still admits it
+    assert bandwidth_curve(automaton("a1"), [F(3, 4), F(3, 2)], [F(1, 2), F(1)],
+                           grid=F(1, 4), cap=500) == rows
 
 
 def test_curve_enumerates_each_grid_slice_once(monkeypatch):

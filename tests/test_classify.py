@@ -8,7 +8,7 @@ import pytest
 from tempoclass.classify import (SaturationCapExceeded, _level_sets, classify,
                                  guards_bounded_nonpunctual,
                                  is_structurally_meager, is_structurally_obese,
-                                 is_thick, saturate, structurally_zeno)
+                                 is_thick, saturate)
 from tempoclass.corpus import NAMES, automaton
 from tempoclass.orbits import (FAST, INSTANT, KINDS, SLOW, WIDE, OrbitElement,
                                edge_orbit, edge_orbit_table, orbit_compose,
@@ -469,20 +469,6 @@ def test_thick_implies_not_meager_when_applicable():
         v = classify(a)
         if v.fatness == "thick":
             assert v.classification != "meager"
-
-
-def test_structurally_zeno(split_corpus):
-    rs = split_corpus["a8"]
-    prime = region_of((F(2, 3), F(1, 3)), 2)
-    loc = next(q for q in rs.locations if rs.regions[q] == prime)
-    loop = next(e for e in rs.edges_from(loc) if e.dst == loc and e.label == "c")
-    assert structurally_zeno(path_orbit(rs, [loop], "d"))
-    fast_diag = orbit_element("d", "q", ((FAST,),), "q")
-    assert not structurally_zeno(fast_diag)
-    no_slow = orbit_element("d", "q", ((INSTANT, 0), (0, INSTANT)), "q")
-    assert not structurally_zeno(no_slow)
-    with pytest.raises(ValueError):
-        structurally_zeno(orbit_one("d"))
 
 
 def test_pumping_bound_on_witnesses(split_corpus):
