@@ -5,10 +5,12 @@ capping per-step delays at the max constant plus one (longer waits move events
 later without adding choices), trying only the delays inside some out-edge's
 guard window, and collapsing words that differ only in the
 order or multiplicity of simultaneous events (the pseudo-metric cannot tell
-them apart).  The word cap bounds its search states.  A second walker over
-the same compiled slice counts those states without building words,
-memoised per instant, and the curve uses it to find the first slice over the
-cap without enumerating it.  Capacity and entropy estimates come from the
+them apart).  The word cap bounds its search states, and the count of those
+states is the only budget: each slice is compiled once, a second walker
+counts its search states without building words (memoised per instant),
+and the enumeration runs only when the count is within the cap, so a slice
+over the cap is never enumerated.  Both walkers keep their own stack, so the
+horizon sets no depth limit.  Capacity and entropy estimates come from the
 greedy separated-set size over the slice.
 """
 
@@ -28,12 +30,9 @@ DEFAULT_WORD_CAP = 400_000
 
 
 class EnumerationCapExceeded(TAError):
-    def __init__(self, cap: int, words_so_far: int):
-        super().__init__(
-            f"grid enumeration exceeded the cap of {cap} search states "
-            f"({words_so_far} words found so far)")
+    def __init__(self, cap: int):
+        super().__init__(f"grid enumeration exceeded the cap of {cap} search states")
         self.cap = cap
-        self.words_so_far = words_so_far
 
 
 def _power_of_two_grid(g: Fraction) -> None:
@@ -62,11 +61,10 @@ def enumerate_words(a, duration: Fraction, grid: Fraction,
 
 
 class _Slice(NamedTuple):
-    """A validated grid slice compiled for its two walkers, `_grid_words` and
-    `_search_states`; clocks and dates are in grid units."""
+    """A validated grid slice compiled for its two walkers, `_walk` and
+    `_count_states`; clocks and dates are in grid units."""
     location: str                 # the start state
     clocks: tuple
-    accepts_empty: bool           # whether the start state accepts
     accepts: Callable             # (location, clocks) -> bool
     steps: Callable               # (location, clocks, date) -> list of moves
 
@@ -175,29 +173,39 @@ def _compile_slice(a, duration: Fraction, grid: Fraction, cap: int) -> Optional[
         return moves
 
     start_clocks = tuple(units(x) for x in start.clocks)
-    return _Slice(start.location, start_clocks,
-                  a.is_accepting(start.location, start.clocks), accepts, steps)
+    return _Slice(start.location, start_clocks, accepts, steps)
 
 
 def _grid_words(a, duration: Fraction, grid: Fraction, cap: int) -> list[tuple]:
     """The words of `enumerate_words` as event tuples whose dates are in grid
-    units (date times `grid.denominator`), in `_grid_key` order."""
+    units (date times `grid.denominator`), in `_grid_key` order.
+
+    This is where the word cap is decided: the slice is compiled once, its
+    search states are counted, and it is walked only when they fit the cap."""
     s = _compile_slice(a, duration, grid, cap)
     if s is None:
         return []
+    if _count_states(s, cap) > cap:
+        raise EnumerationCapExceeded(cap)
+    return _walk(s)
+
+
+def _walk(s: _Slice) -> list[tuple]:
+    """Every word of the slice, depth-first and without a budget; one
+    `steps` call per search state.  The stack holds one frame per open
+    state, (its moves, its date, its instant's chain, the letters fired at
+    that date), and `events` the path to the top frame's state."""
     accepts, steps = s.accepts, s.steps
     # canonical (sorted) event multiset -> a feasible firing order
     words: dict[tuple, tuple] = {}
-    budget = [cap]
-    if s.accepts_empty:
+    if accepts(s.location, s.clocks):
         words[()] = ()
-
-    def explore(loc: str, clocks: tuple, date: int, events: list,
-                chain: set, letters: frozenset):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise EnumerationCapExceeded(cap, len(words))
-        for k, edge, landed, label in steps(loc, clocks, date):
+    events: list[tuple] = []
+    stack = [(iter(steps(s.location, s.clocks, 0)), 0,
+              {(s.location, s.clocks, frozenset())}, frozenset())]
+    while stack:
+        moves, date, chain, letters = stack[-1]
+        for k, edge, landed, label in moves:
             if k == 0:
                 next_letters = letters | label
                 key = (edge.dst, landed, next_letters)
@@ -208,35 +216,42 @@ def _grid_words(a, duration: Fraction, grid: Fraction, cap: int) -> list[tuple]:
             else:
                 next_chain = {(edge.dst, landed, label)}
                 next_letters = label
-            events.append((edge.label, date + k))
+            t = date + k
+            events.append((edge.label, t))
             if accepts(edge.dst, landed):
                 words.setdefault(tuple(sorted(events)), tuple(events))
-            explore(edge.dst, landed, date + k, events, next_chain, next_letters)
-            events.pop()
-
-    explore(s.location, s.clocks, 0, [], {(s.location, s.clocks, frozenset())},
-            frozenset())
+            stack.append((iter(steps(edge.dst, landed, t)), t, next_chain,
+                          next_letters))
+            break
+        else:
+            stack.pop()
+            if stack:
+                events.pop()
     # no two event multisets share a key
     return sorted(words.values(), key=_grid_key)
 
 
 def _search_states(a, duration: Fraction, grid: Fraction, cap: int) -> int:
-    """The number of `explore` calls `_grid_words` makes on the slice, or
-    cap + 1 once it exceeds the cap; the same errors, in the same order.
-
-    The enumerator shares one `chain` set across an instant, so the states an
-    instant explores are those its entry reaches by zero-delay moves, whatever
-    the search order; each one is one call plus the instants its positive
-    delays open.  An instant's calls depend only on its entry (location,
-    clocks, date, letter), which is the memo key.  Counts above the cap are
-    all reported as cap + 1, so no count ever grows past it."""
+    """The number of search states `_walk` enters on the slice, or cap + 1
+    once it exceeds the cap; the slice is checked like `_grid_words` does."""
     s = _compile_slice(a, duration, grid, cap)
-    if s is None:
-        return 0
+    return 0 if s is None else _count_states(s, cap)
+
+
+def _count_states(s: _Slice, cap: int) -> int:
+    """`_walk`'s search states on the slice, saturated at cap + 1.
+
+    The walk shares one chain set across an instant, so the states an
+    instant enters are those its entry reaches by zero-delay moves, whatever
+    the search order; each one is one state plus the instants its positive
+    delays open.  An instant's count depends only on its entry (location,
+    clocks, date, letter), which is the memo key.  Each instant is a
+    generator that yields the entries it has not met yet and is sent their
+    counts; a stack of them stands in for recursion."""
     steps, over = s.steps, cap + 1
     memo: dict[tuple, int] = {}
 
-    def instant(entry: tuple, date: int) -> int:
+    def instant(entry: tuple, date: int):
         seen = {entry}
         todo = [entry]
         total = 0
@@ -252,16 +267,30 @@ def _search_states(a, duration: Fraction, grid: Fraction, cap: int) -> int:
                         seen.add(key)
                         todo.append(key)
                     continue
-                key, t = (edge.dst, landed, label), date + k
-                sub = memo.get((key, t))
+                key = ((edge.dst, landed, label), date + k)
+                sub = memo.get(key)
                 if sub is None:
-                    sub = memo[key, t] = instant(key, t)
+                    sub = yield key
                 total += sub
                 if total > cap:
                     return over
         return total
 
-    return instant((s.location, s.clocks, frozenset()), 0)
+    root = ((s.location, s.clocks, frozenset()), 0)
+    stack = [(root, instant(*root))]
+    count = None
+    while True:
+        key, counting = stack[-1]
+        try:
+            entry = counting.send(count)
+        except StopIteration as done:
+            count = memo[key] = done.value
+            stack.pop()
+            if not stack:
+                return count
+        else:
+            stack.append((entry, instant(*entry)))
+            count = None
 
 
 def _grid_key(events: tuple) -> tuple:
@@ -444,8 +473,8 @@ def bandwidth_curve(a, durations: Sequence[Fraction], epss: Sequence[Fraction],
                     grid: Optional[Fraction] = None,
                     cap: int = DEFAULT_WORD_CAP) -> list[CurveRow]:
     """One row per eps at the largest duration whose enumeration stays under
-    the cap; durations are tried in increasing order, and a slice over the
-    cap is found by counting its search states, never enumerated.  The eps
+    the cap; durations are tried in increasing order, up to the first slice
+    over the cap, which `_grid_words` finds by counting.  The eps
     values that share a grid share each enumerated slice, which is dropped
     before the next one is enumerated."""
     ts = sorted(Fraction(t) for t in durations)
@@ -469,9 +498,10 @@ def bandwidth_curve(a, durations: Sequence[Fraction], epss: Sequence[Fraction],
         for t in ts:
             if t % g != 0:
                 continue  # this duration does not align with this grid
-            if _search_states(a, t, g, cap) > cap:
+            try:
+                words = _grid_words(a, t, g, cap)
+            except EnumerationCapExceeded:
                 break
-            words = _grid_words(a, t, g, cap)
             for k in members:
                 est = _estimate(words, epss[k], g)
                 if not est.empty:

@@ -29,6 +29,15 @@ location q initial accepting
 edge q -> q on a guard x < 20 reset y
 """
 
+# one event a second, so a slice of horizon T is T events deep
+TICKER = """\
+automaton tick
+clocks x
+alphabet a
+location q initial accepting
+edge q -> q on a guard x = 1 reset x
+"""
+
 
 @pytest.fixture(scope="session")
 def corpus():

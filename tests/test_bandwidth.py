@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import math
 import random
@@ -6,10 +7,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import TICKER
 from tempoclass.bandwidth import (DEFAULT_WORD_CAP, CurveRow,
-                                  EnumerationCapExceeded, _grid_words,
-                                  _search_states, bandwidth_curve, curve_csv,
-                                  enumerate_words, estimate_capacity, fit_class)
+                                  EnumerationCapExceeded, _compile_slice,
+                                  _grid_words, _search_states, _walk,
+                                  bandwidth_curve, curve_csv, enumerate_words,
+                                  estimate_capacity, fit_class)
 from tempoclass.corpus import NAMES, automaton
 from tempoclass.ta import TAError, TimedAutomaton, parse_automaton, step
 from tempoclass.words import greedy_separated, timed_word
@@ -130,14 +133,16 @@ def test_enumeration_cap():
 ])
 def test_enumeration_budget(name, duration, grid, needed, words_at_half):
     """The cap counts search states: `needed` is the smallest cap under which
-    the slice enumerates, and half of it stops with the given word count."""
+    the slice enumerates.  `words_at_half`, the words a depth-first walk
+    meets in its first needed // 2 states, only names the case: a slice over
+    the cap is refused before any word is built."""
     a = automaton(name)
     enumerate_words(a, duration, grid, cap=needed)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_words(a, duration, grid, cap=needed - 1)
     with pytest.raises(EnumerationCapExceeded) as exc:
         enumerate_words(a, duration, grid, cap=needed // 2)
-    assert exc.value.words_so_far == words_at_half
+    assert exc.value.cap == needed // 2
 
 
 def test_enumeration_memory_independent_of_horizon():
@@ -179,13 +184,17 @@ def test_grid_words_match_enumerate_words(name):
             for w in enumerate_words(a, duration, grid)]
 
 
-def test_grid_words_stop_at_the_cap_like_enumerate_words():
-    a = automaton("a1")
-    with pytest.raises(EnumerationCapExceeded) as public:
-        enumerate_words(a, F(3, 4), F(1, 8), cap=2_000)
-    with pytest.raises(EnumerationCapExceeded) as private:
-        _grid_words(a, F(3, 4), F(1, 8), 2_000)
-    assert private.value.words_so_far == public.value.words_so_far > 0
+@pytest.mark.parametrize("duration", [F(1500), F(3000)])
+def test_deep_slices_walk_without_recursion(duration):
+    """The ticker fires once a second, so each second of horizon is one more
+    event on the path and one more instant: both walkers keep their own
+    stack, and neither stops at the interpreter's recursion limit."""
+    a = parse_automaton(TICKER)
+    n = int(duration) + 1
+    assert _search_states(a, duration, F(1, 4), DEFAULT_WORD_CAP) == n
+    words = _grid_words(a, duration, F(1, 4), DEFAULT_WORD_CAP)
+    assert len(words) == n
+    assert words[-1] == tuple(("a", 4 * t) for t in range(1, n))
 
 
 # T=0 explores only the start instant; (2, 1/4) and (12, 1/2) are over the
@@ -194,15 +203,41 @@ COUNTED_SLICES = [(F(0), F(1, 2)), (F(1), F(1, 2)), (F(3, 8), F(1, 8)),
                   (F(1), F(1, 4)), (F(2), F(1, 4)), (F(12), F(1, 2))]
 
 
+class _WalkTooLong(Exception):
+    pass
+
+
+def _walked_states(a, duration, grid, limit: int) -> int:
+    """The search states the uncapped walk of the slice enters, counted as
+    its calls to the compiled slice's `steps`, or limit + 1 once they pass
+    the limit (the walk is stopped there)."""
+    s = _compile_slice(a, duration, grid, limit)
+    calls = 0
+
+    def counting(*state):
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise _WalkTooLong
+        return s.steps(*state)
+
+    with contextlib.suppress(_WalkTooLong):
+        _walk(s._replace(steps=counting))
+    return calls
+
+
 @pytest.mark.parametrize("split", [False, True], ids=["plain", "split"])
 @pytest.mark.parametrize("name", NAMES)
 def test_search_states_count_the_enumeration_exactly(name, split, split_corpus):
-    """The counter's result c is the smallest cap under which the slice
-    enumerates; over the cap it reports cap + 1, and the enumeration stops."""
+    """The counter's result c is the number of search states the uncapped
+    walk enters, counted on the walk itself, and the smallest cap under
+    which the slice enumerates; over the cap it reports cap + 1, and the
+    enumeration stops."""
     a = split_corpus[name] if split else automaton(name)
     cap = 20_000
     for duration, grid in COUNTED_SLICES:
         c = _search_states(a, duration, grid, cap)
+        assert c == _walked_states(a, duration, grid, cap)
         if c > cap:
             assert c == cap + 1
             with pytest.raises(EnumerationCapExceeded):
@@ -251,21 +286,36 @@ def test_search_states_check_the_slice_like_the_enumerator():
         assert str(counted.value) == str(enumerated.value)
 
 
+def _record_slices(monkeypatch) -> tuple[list, list]:
+    """Patch the compiler and the walker; the lists returned receive the
+    (T, grid) of each slice compiled and of each slice walked."""
+    bandwidth = importlib.import_module("tempoclass.bandwidth")
+    compile_slice, walk = bandwidth._compile_slice, bandwidth._walk
+    slices, compiled, walked = [], [], []
+
+    def compiling(a, duration, grid, cap):
+        s = compile_slice(a, duration, grid, cap)
+        slices.append(s)
+        compiled.append((duration, grid))
+        return s
+
+    def walking(s):
+        walked.append(compiled[next(i for i, c in enumerate(slices) if c is s)])
+        return walk(s)
+
+    monkeypatch.setattr(bandwidth, "_compile_slice", compiling)
+    monkeypatch.setattr(bandwidth, "_walk", walking)
+    return compiled, walked
+
+
 def test_curve_enumerates_only_slices_under_the_cap(monkeypatch):
     """The curve decides a cap hit by counting: a1's T=3/2 slice needs more
     than 5,000 search states and is never enumerated."""
-    bandwidth = importlib.import_module("tempoclass.bandwidth")
-    real = bandwidth._grid_words
-    slices = []
-
-    def counting(a, duration, grid, cap):
-        slices.append((duration, grid))
-        return real(a, duration, grid, cap)
-
-    monkeypatch.setattr(bandwidth, "_grid_words", counting)
+    compiled, walked = _record_slices(monkeypatch)
     rows = bandwidth_curve(automaton("a1"), [F(3, 4), F(3, 2)], [F(1, 2), F(1)],
                            grid=F(1, 4), cap=5_000)
-    assert slices == [(F(3, 4), F(1, 4))]
+    assert walked == [(F(3, 4), F(1, 4))]
+    assert compiled == [(F(3, 4), F(1, 4)), (F(3, 2), F(1, 4))]
     assert rows == [CurveRow(F(1, 2), F(3, 4), F(1, 4), 4.0, 4.0, 256),
                     CurveRow(F(1), F(3, 4), F(1, 4), 2.0, 2.0, 256)]
     # the T=3/4 slice takes exactly 500 states, so a cap of 500 still admits it
@@ -274,25 +324,29 @@ def test_curve_enumerates_only_slices_under_the_cap(monkeypatch):
 
 
 def test_curve_enumerates_each_grid_slice_once(monkeypatch):
-    bandwidth = importlib.import_module("tempoclass.bandwidth")
-    real = bandwidth._grid_words
-    slices = []
-
-    def counting(a, duration, grid, cap):
-        slices.append((duration, grid))
-        return real(a, duration, grid, cap)
-
-    monkeypatch.setattr(bandwidth, "_grid_words", counting)
+    compiled, walked = _record_slices(monkeypatch)
     a = automaton("a6")
     epss = [F(1, 2), F(1, 3), F(1, 5)]
     rows = bandwidth_curve(a, [F(3, 2), F(2)], epss, grid=F(1, 16))
-    assert slices == [(F(3, 2), F(1, 16)), (F(2), F(1, 16))]
+    assert walked == [(F(3, 2), F(1, 16)), (F(2), F(1, 16))]
     # the same rows as one estimate per eps on its own enumeration
-    monkeypatch.setattr(bandwidth, "_grid_words", real)
     assert [(r.eps, r.duration, r.word_count, r.capacity_bits) for r in rows] == [
         (eps, F(2), est.word_count, est.capacity_bits)
         for eps in epss
         for est in [estimate_capacity(a, F(2), eps, F(1, 16))]]
+
+
+def test_curve_compiles_each_aligned_slice_once(monkeypatch):
+    """One compilation per aligned (T, grid) slice serves both the count and
+    the walk; T=1/8 does not align with the grid 1/4 and is not compiled
+    for it, and grid 1/8 stops at its first slice over the cap."""
+    compiled, walked = _record_slices(monkeypatch)
+    bandwidth_curve(automaton("a6"), [F(2), F(1, 8), F(3, 2), F(4)],
+                    [F(1, 2), F(1, 4)], cap=121)
+    assert compiled == [(F(3, 2), F(1, 4)), (F(2), F(1, 4)), (F(4), F(1, 4)),
+                        (F(1, 8), F(1, 8)), (F(3, 2), F(1, 8)), (F(2), F(1, 8)),
+                        (F(4), F(1, 8))]
+    assert walked == compiled[:-1]
 
 
 def test_capacity_monotone_in_duration_and_eps():

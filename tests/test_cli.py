@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import BIG_CONSTANT, MANY_CHAINS
+from conftest import BIG_CONSTANT, MANY_CHAINS, TICKER
 from tempoclass.cli import main
 from tempoclass.corpus import NAMES, SOURCES
 from tempoclass.regions import region_of
@@ -136,6 +136,22 @@ def test_bandwidth_command(capsys, corpus_dir):
                        "--T", "10", "--eps", "1/2,1/4,1/8")
     assert out.splitlines()[0] == \
         "epsilon,T,grid,capacity_bits,entropy_bits,bits_per_second"
+
+
+def test_bandwidth_deep_slices(capsys, corpus_dir):
+    """Long horizons make deep searches, not tracebacks: the ticker's slices
+    are 1,500 events deep, and a1 at T=300 is over the word cap."""
+    (corpus_dir / "tick.ta").write_text(TICKER)
+    code, out, _ = run(capsys, "--json", "bandwidth", str(corpus_dir / "tick.ta"),
+                       "--T", "1500", "--eps", "1/2,1/4,1/8")
+    assert code == 0
+    assert [r["words"] for r in json.loads(out)["result"]["rows"]] == [1501] * 3
+    code, out, _ = run(capsys, "--json", "bandwidth", str(corpus_dir / "a1.ta"),
+                       "--T", "300", "--eps", "1/2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["result"]["rows"] == []
+    assert report["warnings"] == ["not enough feasible epsilon points to fit a shape"]
 
 
 def test_error_exits(capsys, tmp_path):
