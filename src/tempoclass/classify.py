@@ -10,15 +10,18 @@ shortest witness per element; `savitch` squares level sets as in the log-space
 reachability recursion, in semi-naive rounds that compose only the elements
 new in the previous round with the level, and keeps no witnesses.  It is the
 independent oracle: the same pattern predicates, the same verdicts, no
-witnesses.  Thickness always uses the bfs reachability monoid.
+witnesses.
+
+Only the freedom (f) and duration (d) monoids are built.  No semiring here
+has zero divisors, so a path's reachability orbit is the support of its f
+orbit and of its d orbit: the type-II return check reads reachability off d,
+and thickness reads completeness off f.  The reachability monoid is a monoid
+image of f, so it is never larger than f and `monoidSize` needs it neither.
 
 The region-split automaton builds the edge orbits of every kind once, from
 one language class per edge and vertex pair, and keeps them: every check
 and both modes build their monoids from that table, whether `classify` or
-the caller runs them.  On a type-II automaton savitch still builds the
-reachability monoid twice, as level sets for the obesity check and
-breadth-first for thickness: reusing the bfs monoid in the obesity check
-would give savitch a reachability witness and change its reports.
+the caller runs them.
 """
 
 from __future__ import annotations
@@ -157,7 +160,7 @@ class ObeseReport:
 @dataclass(frozen=True)
 class ThickReport:
     thick: bool
-    witness: Optional[PatternWitness] = None      # all-ones cyclic reach orbit
+    witness: Optional[PatternWitness] = None      # complete cyclic reach orbit
 
 
 def _reach(a: RegionSplitAutomaton, kind: str, cap: int, mode: str
@@ -194,7 +197,11 @@ def is_structurally_obese(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
                           mode: str = "bfs", reach_d=None, reach_p=None
                           ) -> ObeseReport:
     """Fast diagonal (type I), or an instant/instant pair with a slow edge
-    between them whose return is realizable on the same region (type II)."""
+    between them whose return is realizable on the same region (type II).
+
+    The return is read off the support of the duration orbits, which is the
+    reachability orbit, so `reach_p` is ignored; it is kept only for callers
+    that still pass it."""
     if reach_d is None:
         reach_d = _reach(a, "d", cap, mode)
     for elem, wit in reach_d.items():
@@ -205,13 +212,8 @@ def is_structurally_obese(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
     for elem, wit in reach_d.items():
         if not elem.cyclic:
             continue
-        hit = _type2_positions(elem)
-        if not hit:
-            continue
-        if reach_p is None:
-            reach_p = _reach(a, "p", cap, mode)
-        for (u, v) in hit:
-            for other, wit2 in reach_p.items():
+        for (u, v) in _type2_positions(elem):
+            for other, wit2 in reach_d.items():
                 if other.cyclic and other.src == elem.src and other.entry(v, u) != 0:
                     return ObeseReport(True, "II", _witnesses(
                         (wit, (u, v), "d"), (wit2, (v, u), "p")))
@@ -241,25 +243,19 @@ def is_thick(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
              reach=None) -> ThickReport:
     """Thick iff some cycle's reachability orbit is the complete graph.
 
-    A complete orbit on a single vertex only counts when the cycle admits
-    several runs (its freedom orbit is wide there); with two or more vertices
-    completeness already forces wide self-loops in the squared cycle.
+    `reach` is the freedom monoid, whose support is the reachability orbit,
+    so a cyclic element with no zero entry is complete.  On a single vertex
+    it only counts when the cycle admits several runs (the entry is wide);
+    with two or more vertices completeness already forces wide self-loops in
+    the squared cycle.  A monoid of another kind is replaced by the
+    breadth-first freedom monoid.
     """
-    if reach is None:
-        reach = saturate(a, "p", cap)
-    f_orbits: Optional[dict[str, OrbitElement]] = None
+    if reach is None or next(iter(reach)).kind != "f":
+        reach = saturate(a, "f", cap)
     for elem, wit in reach.items():
-        if not (elem.cyclic and all(v != 0 for row in elem.matrix for v in row)):
-            continue
-        if len(elem.matrix) == 1:
-            if f_orbits is None:
-                f_orbits = dict(zip((e.name for e in a.edges), a.edge_orbits["f"]))
-            f = orbit_one("f")
-            for name in wit:
-                f = orbit_compose(f, f_orbits[name])
-            if f.tag != "elem" or f.entry(0, 0) != WIDE:
-                continue
-        return ThickReport(True, PatternWitness(wit, (0, 0), "p"))
+        if (elem.cyclic and all(v != 0 for row in elem.matrix for v in row)
+                and (len(elem.matrix) > 1 or elem.entry(0, 0) == WIDE)):
+            return ThickReport(True, *_witnesses((wit, (0, 0), "p")))
     return ThickReport(False, None)
 
 
@@ -317,22 +313,18 @@ def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Ve
     `cap` bounds region splitting as well as each orbit monoid."""
     t0 = time.monotonic()
     rsta = a if isinstance(a, RegionSplitAutomaton) else region_split(a, cap)
-    # bfs saturates every kind up front: the sizes are reported and p feeds
-    # the thickness check; savitch leaves p to the obesity check.
-    kinds = ("p", "f", "d") if mode == "bfs" else ("f", "d")
-    reaches = {k: _reach(rsta, k, cap, mode) for k in kinds}
+    reaches = {k: _reach(rsta, k, cap, mode) for k in ("f", "d")}
     if not rsta.locations:
         # empty language: no cycles at all
         return Verdict("meager", None, "thin", guards_bounded_nonpunctual(a), (), {
             "locations": 0, "regions": 0, "monoidSize": 0, "witnessMaxLen": 0,
             "wallTimeMs": int((time.monotonic() - t0) * 1000)})
     meager = is_structurally_meager(rsta, reach=reaches["f"])
-    obese = is_structurally_obese(rsta, cap, mode, reach_d=reaches["d"],
-                                  reach_p=reaches.get("p"))
+    obese = is_structurally_obese(rsta, reach_d=reaches["d"])
     if meager.meager and obese.obese:
         raise ClassificationError(
             "structural meagerness and obesity both hold; this cannot happen")
-    thick = is_thick(rsta, cap, reach=reaches.get("p"))
+    thick = is_thick(rsta, reach=reaches["f"])
     witnesses: list[PatternWitness] = []
     if meager.witness:
         witnesses.append(meager.witness)

@@ -38,6 +38,16 @@ location q initial accepting
 edge q -> q on a guard x = 1 reset x
 """
 
+# any delay in (0, 1) between events, so volume 1 per event: thick, through
+# a single-vertex cycle whose freedom is wide
+OPEN_TICKER = """\
+automaton open
+clocks x
+alphabet b
+location q initial accepting
+edge q -> q on b guard x < 1 reset x
+"""
+
 
 @pytest.fixture(scope="session")
 def corpus():

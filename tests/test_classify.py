@@ -13,9 +13,10 @@ from tempoclass.corpus import NAMES, automaton
 from tempoclass.orbits import (FAST, INSTANT, KINDS, SLOW, WIDE, OrbitElement,
                                edge_orbit, edge_orbit_table, orbit_compose,
                                orbit_element, orbit_one, orbit_zero,
-                               path_orbit, semiring_add, semiring_mul)
+                               path_orbit, path_orbit_direct, semiring_add,
+                               semiring_mul)
 from tempoclass.regions import region_of
-from conftest import BIG_CONSTANT, MANY_CHAINS, random_automaton
+from conftest import BIG_CONSTANT, MANY_CHAINS, OPEN_TICKER, random_automaton
 from tempoclass.splitting import DEFAULT_CAP, RegionSplitCapExceeded, region_split
 from tempoclass.ta import (ClockConstraint, Edge, Guard, TimedAutomaton,
                            check_deterministic, parse_automaton,
@@ -58,16 +59,21 @@ def test_saturate_a7_wide_cycle(split_corpus):
     assert min(len(w) for _, w in hits) == 2
 
 
-FAM_3_2 = """\
-automaton fam_3_2
+def fam(k: int) -> str:
+    """The two-clock scaling family fam(K, 2), constants up to K."""
+    return f"""\
+automaton fam_{k}_2
 clocks x y
 alphabet a b c
 location q initial accepting
 location p accepting
-edge q -> p on a guard x < 3 reset x
-edge p -> q on b guard y > 1, y < 3 reset y
+edge q -> p on a guard x < {k} reset x
+edge p -> q on b guard y > 1, y < {k} reset y
 edge q -> q on c guard x < 1
 """
+
+
+FAM_3_2 = fam(3)
 
 
 def _reference_product(e1, e2):
@@ -431,6 +437,55 @@ def test_savitch_mode_agrees(name):
     v2 = classify(automaton(name), mode="savitch")
     assert v1.classification == v2.classification
     assert v1.obesity_type == v2.obesity_type
+    assert v1.fatness == v2.fatness
+
+
+def _deterministic_draws(seed: int, count: int):
+    rng = random.Random(seed)
+    drawn = []
+    while len(drawn) < count:
+        a = random_automaton(rng)
+        if check_deterministic(a).deterministic:
+            drawn.append(a)
+    return drawn
+
+
+def test_modes_agree_on_random_automata():
+    """savitch decides all three verdicts from its own level sets, so it
+    checks bfs on thickness too; every bfs thick witness replays."""
+    for a in _deterministic_draws(7, 300):
+        bfs = classify(a)
+        assert _verdict(a, "savitch") == (bfs.classification, bfs.obesity_type,
+                                          bfs.fatness), serialize_automaton(a)
+        if bfs.fatness == "thick":
+            _assert_thick_witness(region_split(a), bfs.witnesses[-1])
+
+
+def test_reachability_monoid_is_smallest(split_corpus):
+    """p is a monoid image of f and of d, so `monoidSize` never needs it."""
+    subjects = [*split_corpus.values(),
+                *(region_split(parse_automaton(fam(k))) for k in (2, 3, 4)),
+                *(region_split(a) for a in _deterministic_draws(11, 300))]
+    for rs in subjects:
+        sizes = {kind: len(saturate(rs, kind)) for kind in KINDS}
+        assert sizes["p"] <= min(sizes["f"], sizes["d"]), sizes
+
+
+@pytest.mark.parametrize("mode", ["bfs", "savitch"])
+def test_classify_builds_no_reachability_monoid(monkeypatch, mode):
+    classify_module = importlib.import_module("tempoclass.classify")
+    built = []
+    for fn in ("saturate", "_level_sets"):
+        def counting(a, kind, *args, _real=getattr(classify_module, fn), _fn=fn):
+            built.append((_fn, kind))
+            return _real(a, kind, *args)
+
+        monkeypatch.setattr(classify_module, fn, counting)
+    builder = "saturate" if mode == "bfs" else "_level_sets"
+    for name in NAMES:
+        built.clear()
+        classify(automaton(name), mode=mode)
+        assert sorted(built) == [(builder, "d"), (builder, "f")], name
 
 
 @pytest.mark.parametrize("mode", ["BFS", "savitchh", ""])
@@ -444,14 +499,40 @@ def test_unknown_mode_rejected(split_corpus, mode):
         is_structurally_obese(rs, mode=mode)
 
 
+def _assert_thick_witness(rs, witness):
+    """The witness cycle's freedom orbit has no zero entry, and is wide on a
+    single vertex."""
+    e = path_orbit_direct(rs, [rs.edge_named(n) for n in witness.cycle], "f")
+    assert e.cyclic and all(v for row in e.matrix for v in row)
+    assert len(e.matrix) > 1 or e.entry(0, 0) == WIDE
+
+
 def test_thickness(split_corpus):
     assert not is_thick(split_corpus["a6"]).thick
     assert is_thick(split_corpus["a1"]).thick
     assert not is_thick(split_corpus["a8"]).thick
-    rep = is_thick(split_corpus["a1"])
     rs = split_corpus["a1"]
-    e = path_orbit(rs, [rs.edge_named(n) for n in rep.witness.cycle], "p")
-    assert all(v for row in e.matrix for v in row)
+    rep = is_thick(rs)
+    _assert_thick_witness(rs, rep.witness)
+    # a monoid of another kind is replaced by the freedom monoid
+    assert is_thick(rs, reach=saturate(rs, "p")) == rep
+
+
+@pytest.mark.parametrize("punctual", ["none", "before", "after"])
+def test_open_ticker_is_thick(punctual):
+    """A wide single-vertex cycle is thick even when a narrow cycle has the
+    same reachability orbit, whatever the edge order."""
+    with_a = OPEN_TICKER.replace("alphabet b", "alphabet a b")
+    tick = "edge q -> q on a guard x = 1 reset x\n"
+    a = parse_automaton({"none": OPEN_TICKER, "after": with_a + tick,
+                         "before": with_a.replace("edge", tick + "edge")}[punctual])
+    for mode in ("bfs", "savitch"):
+        assert classify(a, mode=mode).fatness == "thick", mode
+    b_name = next(e.name for e in a.edges if e.label == "b")
+    rs = region_split(a)
+    rep = is_thick(rs)
+    assert rep.witness.cycle == (f"{b_name}.1",)
+    _assert_thick_witness(rs, rep.witness)
 
 
 def test_guard_flags():
@@ -565,6 +646,11 @@ def _with_unreachable_location(a):
                           {**a.accepting, "u": Guard()})
 
 
+def _with_edges_reversed(a):
+    return TimedAutomaton(a.name, a.clocks, a.alphabet, a.locations,
+                          a.edges[::-1], dict(a.initial), dict(a.accepting))
+
+
 def _with_dead_sink(a):
     edges = tuple(Edge(f"z_{q}", q, "sink", "z") for q in a.locations)
     return TimedAutomaton(a.name, a.clocks, a.alphabet + ("z",),
@@ -579,8 +665,9 @@ def _verdict(a, mode="bfs"):
 
 
 def test_verdicts_invariant_under_metamorphic_changes():
-    """Renaming, unreachable or dead additions and the two textual round
-    trips leave class, obesity type and fatness unchanged."""
+    """Renaming, unreachable or dead additions, reversing the edge list and
+    the two textual round trips leave class, obesity type and fatness
+    unchanged."""
     rng = random.Random(29)
     subjects = [automaton(name) for name in NAMES]
     while len(subjects) < len(NAMES) + 300:
@@ -594,6 +681,7 @@ def test_verdicts_invariant_under_metamorphic_changes():
             "renamed": _verdict(_renamed(a)),
             "unreachable location": _verdict(_with_unreachable_location(a)),
             "dead sink": _verdict(_with_dead_sink(a)),
+            "edges reversed": _verdict(_with_edges_reversed(a)),
             "serialized": _verdict(parse_automaton(serialize_automaton(a))),
             "regionized bfs": _verdict(regionized),
             "regionized savitch": _verdict(regionized, "savitch"),
