@@ -573,13 +573,7 @@ def test_witnesses_in_verdicts_replay(split_corpus):
 
 
 def test_mutual_exclusion_on_random_automata():
-    rng = random.Random(7)
-    built = 0
-    while built < 200:
-        a = random_automaton(rng)
-        if not check_deterministic(a).deterministic:
-            continue
-        built += 1
+    for a in _deterministic_draws(7, 200):
         rs = region_split(a)
         if not rs.locations:
             continue
@@ -668,12 +662,7 @@ def test_verdicts_invariant_under_metamorphic_changes():
     """Renaming, unreachable or dead additions, reversing the edge list and
     the two textual round trips leave class, obesity type and fatness
     unchanged."""
-    rng = random.Random(29)
-    subjects = [automaton(name) for name in NAMES]
-    while len(subjects) < len(NAMES) + 300:
-        a = random_automaton(rng)
-        if check_deterministic(a).deterministic:
-            subjects.append(a)
+    subjects = [automaton(name) for name in NAMES] + _deterministic_draws(29, 300)
     for a in subjects:
         expected = _verdict(a)
         regionized = parse_automaton(serialize_automaton(region_split(a)))
