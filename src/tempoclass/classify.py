@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .orbits import (FAST, INSTANT, SLOW, WIDE, OrbitElement, orbit_compose,
-                     orbit_one)
+from .orbits import (FAST, INSTANT, SLOW, WIDE, Matrix, OrbitElement,
+                     matrix_product, orbit_compose, orbit_one)
 from .splitting import DEFAULT_CAP, RegionSplitAutomaton, region_split
 from .ta import TAError, TimedAutomaton
 
@@ -66,27 +65,97 @@ def saturate(a: RegionSplitAutomaton, kind: str, cap: int = DEFAULT_CAP
     Breadth-first closure over right-extension by single edges; insertion
     order is by witness length, so stored witnesses are minimal.  The unit
     extends by every edge, any other element by the out-edges of its target
-    location, both in `a.edges` order.
+    location, both in `a.edges` order.  When the monoid has more than `cap`
+    elements, `SaturationCapExceeded.partial` holds its first `cap + 1`.
+
+    The search runs on interned matrices (`_saturate_ids`) and builds each
+    element once, after the search: the index and the product memo are
+    freed before the result is filled.
     """
-    edges = [(e.name, eo) for e, eo in zip(a.edges, a.edge_orbits[kind])]
-    out_edges: dict[str, list[tuple[str, OrbitElement]]] = {}
-    for e, named in zip(a.edges, edges):
-        out_edges.setdefault(e.src, []).append(named)
-    one = orbit_one(kind)
-    reach: dict[OrbitElement, tuple[str, ...]] = {one: ()}
-    frontier: deque[OrbitElement] = deque([one])
-    while frontier:
-        elem = frontier.popleft()
-        wit = reach[elem]
-        for name, eo in edges if elem.is_one else out_edges.get(elem.dst, ()):
-            nxt = orbit_compose(elem, eo)
-            if nxt.is_zero or nxt in reach:
-                continue
-            reach[nxt] = wit + (name,)
-            if len(reach) > cap:
-                raise SaturationCapExceeded(cap, reach)
-            frontier.append(nxt)
+    locations, matrices, keys, witnesses = _saturate_ids(a, kind, cap)
+    n = len(locations)
+    reach: dict[OrbitElement, tuple[str, ...]] = {orbit_one(kind): ()}
+    # popped in insertion order, each key is freed as its element is built,
+    # so the ids and the result never peak together
+    keys.reverse()
+    witnesses.reverse()
+    while keys:
+        wit = witnesses.pop()
+        rest, dst = divmod(keys.pop(), n)
+        mat, src = divmod(rest, n)
+        reach[OrbitElement(kind, "elem", locations[src], matrices[mat],
+                           locations[dst])] = wit
+    if len(reach) > cap:
+        raise SaturationCapExceeded(cap, reach)
     return reach
+
+
+def _saturate_ids(a: RegionSplitAutomaton, kind: str, cap: int):
+    """The breadth-first search of `saturate` on interned ids.
+
+    Locations and matrices are interned to small ints, the edge matrices
+    first, so an edge matrix id is below `k`.  An element other than the
+    unit is the int `(matrix * n + src) * n + dst`, for n locations; the
+    index of seen elements holds these ints.  A product of a matrix with an
+    edge matrix is computed once per call, memoised on `left * k + edge`
+    (-1 when it is zero), with one row memo per edge matrix.  Returns the
+    location names, the matrices by id, and the elements other than the unit
+    with their witnesses in insertion order, stopping at `cap` of them.
+    """
+    loc_ids: dict[str, int] = {}
+    mat_ids: dict[Matrix, int] = {}
+    edges = []
+    for e, eo in zip(a.edges, a.edge_orbits[kind]):
+        if not eo.is_zero:
+            edges.append((e.name, loc_ids.setdefault(eo.src, len(loc_ids)),
+                          mat_ids.setdefault(eo.matrix, len(mat_ids)),
+                          loc_ids.setdefault(eo.dst, len(loc_ids))))
+    n, k = len(loc_ids), len(mat_ids)
+    matrices = list(mat_ids)
+    out_edges: list[list[tuple[str, int, int]]] = [[] for _ in range(n)]
+    for name, src, edge, dst in edges:
+        out_edges[src].append((name, edge, dst))
+    row_memos: list[dict] = [{} for _ in range(k)]
+    products: dict[int, int] = {}
+    # a dict used as a set: at 10^4 keys its table is a quarter of a set's
+    seen: dict[int, None] = {}
+    keys: list[int] = []
+    witnesses: list[tuple[str, ...]] = []
+    for name, src, edge, dst in edges:
+        key = (edge * n + src) * n + dst
+        if key not in seen:
+            seen[key] = None
+            keys.append(key)
+            witnesses.append((name,))
+            if len(keys) >= cap:
+                break
+    i = 0
+    while i < len(keys) < cap:
+        rest, here = divmod(keys[i], n)
+        left, src = divmod(rest, n)
+        wit = witnesses[i]
+        i += 1
+        for name, edge, dst in out_edges[here]:
+            pk = left * k + edge
+            prod = products.get(pk)
+            if prod is None:
+                m = matrix_product(kind, matrices[left], matrices[edge],
+                                   row_memos[edge])
+                prod = -1 if m is None else mat_ids.setdefault(m, len(mat_ids))
+                if prod == len(matrices):
+                    matrices.append(m)
+                products[pk] = prod
+            if prod < 0:
+                continue
+            key = (prod * n + src) * n + dst
+            if key in seen:
+                continue
+            seen[key] = None
+            keys.append(key)
+            witnesses.append(wit + (name,))
+            if len(keys) >= cap:
+                break
+    return list(loc_ids), matrices, keys, witnesses
 
 
 def _level_sets(a: RegionSplitAutomaton, kind: str, h: int,

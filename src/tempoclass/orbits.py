@@ -12,11 +12,11 @@ evaluation because the per-edge languages concatenate exactly.
 
 An orbit element is a slotted value object, immutable by convention, whose
 hash is computed once when it is built.  Row i of a product A·B depends only
-on row i of A and on B, so the right factor B keeps the product rows it has
-computed, keyed by the row of A, for as long as the element lives.
-Saturation's right factors are the edge orbits a region-split automaton
-keeps (`RegionSplitAutomaton.edge_orbits`), so their row products live as
-long as the automaton.
+on row i of A and on B, so the right factor B of `orbit_compose` keeps the
+product rows it has computed, keyed by the row of A, for as long as the
+element lives.  Breadth-first saturation does not compose elements: it
+multiplies matrices with `matrix_product`, whose row memo belongs to the
+caller, so its row products live only as long as one saturation.
 
 Each kind has one zero element, shared by `orbit_zero`, `orbit_element` and
 `orbit_compose`: most products in a level-set search are zero, and none of
@@ -177,6 +177,21 @@ def orbit_compose(e1: OrbitElement, e2: OrbitElement) -> OrbitElement:
     if not any(map(any, rows)):
         return _ZEROS[kind]
     return OrbitElement(kind, "elem", e1.src, tuple(rows), e2.dst)
+
+
+def matrix_product(kind: str, a: Matrix, b: Matrix,
+                   row_memo: dict[tuple[int, ...], tuple[int, ...]]
+                   ) -> Optional[Matrix]:
+    """The semiring product a·b of two matrices of the kind, or None when it
+    is zero.  `row_memo` maps rows of left factors to their products with
+    `b`; the caller keeps one per right factor."""
+    rows = []
+    for a_row in a:
+        row = row_memo.get(a_row)
+        if row is None:
+            row = row_memo[a_row] = _row_times(kind, a_row, b)
+        rows.append(row)
+    return tuple(rows) if any(map(any, rows)) else None
 
 
 def _row_times(kind: str, a_row: tuple[int, ...], b: Matrix) -> tuple[int, ...]:

@@ -176,13 +176,20 @@ def test_level_sets_match_naive_squaring(split_corpus, name):
                 assert raised == (stop is not None and h > stop), (kind, cap, h)
 
 
-@pytest.mark.parametrize("name", [*NAMES, "fam_3_2"])
+@pytest.mark.parametrize("name", [*NAMES, "fam_3_2", "fam_4_2", "draws"])
 def test_saturate_matches_all_edge_reference(split_corpus, name):
-    rs = (region_split(parse_automaton(FAM_3_2)) if name == "fam_3_2"
-          else split_corpus[name])
-    for kind in KINDS:
-        assert list(saturate(rs, kind).items()) == \
-            list(_reference_saturate(rs, kind).items()), kind
+    """The same elements, in the same order, with the same witnesses."""
+    if name == "draws":
+        subjects = [region_split(a) for a in _deterministic_draws(13, 300)]
+    elif name.startswith("fam_"):
+        subjects = [region_split(parse_automaton(fam(int(name[4]))))]
+    else:
+        subjects = [split_corpus[name]]
+    for rs in subjects:
+        for kind in KINDS:
+            assert list(saturate(rs, kind).items()) == \
+                list(_reference_saturate(rs, kind).items()), \
+                (kind, serialize_automaton(rs))
 
 
 @pytest.mark.parametrize("name", [*NAMES, "fam_3_2"])
@@ -233,7 +240,10 @@ def test_orbit_element_value_semantics(split_corpus):
         for eo in rs.edge_orbits[kind]:
             if eo.is_zero:
                 continue
-            # eo has been a right factor of saturation and keeps row products
+            # as a right factor of orbit_compose, eo keeps row products,
+            # which show in neither equality, hash nor repr
+            for x in reach:
+                orbit_compose(x, eo)
             assert orbit_compose(orbit_one(kind), eo) is eo
             fresh = orbit_element(kind, eo.src, eo.matrix, eo.dst)
             assert eo == fresh and fresh == eo and hash(eo) == hash(fresh)
@@ -274,10 +284,49 @@ def test_classify_builds_edge_languages_once(split_corpus, monkeypatch, mode):
 
 
 def test_saturation_cap():
-    rs = region_split(automaton("a3"))
-    with pytest.raises(SaturationCapExceeded) as exc:
-        saturate(rs, "f", cap=5)
-    assert len(exc.value.partial) >= 5
+    """A capped saturation stops at the element that exceeds the cap; its
+    partial map is the first cap + 1 entries of the whole monoid."""
+    for rs in (region_split(automaton("a3")),
+               region_split(parse_automaton(FAM_3_2))):
+        for kind in KINDS:
+            full = list(saturate(rs, kind).items())
+            caps = {1, 2, 5, len(full) // 2, len(full) - 1}
+            for cap in sorted(c for c in caps if 0 < c < len(full)):
+                with pytest.raises(SaturationCapExceeded) as exc:
+                    saturate(rs, kind, cap=cap)
+                assert exc.value.cap == cap
+                assert list(exc.value.partial.items()) == full[:cap + 1], \
+                    (kind, cap)
+            assert list(saturate(rs, kind, cap=len(full)).items()) == full
+
+
+def test_saturation_computes_each_product_once(monkeypatch):
+    """Breadth-first saturation multiplies each distinct (left matrix, edge
+    matrix) pair once per call, however many extensions meet it."""
+    classify_module = importlib.import_module("tempoclass.classify")
+    real = classify_module.matrix_product
+    calls = []
+
+    def counting(kind, a, b, row_memo):
+        calls.append((a, b))
+        return real(kind, a, b, row_memo)
+
+    monkeypatch.setattr(classify_module, "matrix_product", counting)
+    rs = region_split(parse_automaton(fam(6)))
+    reach = saturate(rs, "f")
+    out: dict[str, list] = {}
+    for e, eo in zip(rs.edges, rs.edge_orbits["f"]):
+        if not eo.is_zero:
+            out.setdefault(e.src, []).append(eo.matrix)
+    elements = [x for x in reach if x.tag == "elem"]
+    pairs = {(x.matrix, b) for x in elements for b in out.get(x.dst, ())}
+    extensions = sum(len(out.get(x.dst, ())) for x in elements)
+    assert len(calls) == len(set(calls)) == len(pairs) == 1548
+    assert extensions > 10 * len(pairs)
+    # the memo lives for one call
+    calls.clear()
+    saturate(rs, "f")
+    assert len(calls) == len(pairs)
 
 
 RING3 = """\
