@@ -10,7 +10,9 @@ shortest witness per element; `savitch` squares level sets as in the log-space
 reachability recursion, in semi-naive rounds that compose only the elements
 new in the previous round with the level, and keeps no witnesses.  It is the
 independent oracle: the same pattern predicates, the same verdicts, no
-witnesses.
+witnesses.  Both searches run on interned locations and matrices, and
+multiply matrices with `matrix_product`, with one row memo per right-factor
+matrix that lives for one call.
 
 Only the freedom (f) and duration (d) monoids are built.  No semiring here
 has zero divisors, so a path's reachability orbit is the support of its f
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .orbits import (FAST, INSTANT, SLOW, WIDE, Matrix, OrbitElement,
-                     matrix_product, orbit_compose, orbit_one)
+                     matrix_product, orbit_one)
 from .splitting import DEFAULT_CAP, RegionSplitAutomaton, region_split
 from .ta import TAError, TimedAutomaton
 
@@ -73,35 +75,23 @@ def saturate(a: RegionSplitAutomaton, kind: str, cap: int = DEFAULT_CAP
     freed before the result is filled.
     """
     locations, matrices, keys, witnesses = _saturate_ids(a, kind, cap)
-    n = len(locations)
     reach: dict[OrbitElement, tuple[str, ...]] = {orbit_one(kind): ()}
     # popped in insertion order, each key is freed as its element is built,
     # so the ids and the result never peak together
     keys.reverse()
     witnesses.reverse()
     while keys:
-        wit = witnesses.pop()
-        rest, dst = divmod(keys.pop(), n)
-        mat, src = divmod(rest, n)
-        reach[OrbitElement(kind, "elem", locations[src], matrices[mat],
-                           locations[dst])] = wit
+        reach[_element(kind, locations, matrices, keys.pop())] = witnesses.pop()
     if len(reach) > cap:
         raise SaturationCapExceeded(cap, reach)
     return reach
 
 
-def _saturate_ids(a: RegionSplitAutomaton, kind: str, cap: int):
-    """The breadth-first search of `saturate` on interned ids.
-
-    Locations and matrices are interned to small ints, the edge matrices
-    first, so an edge matrix id is below `k`.  An element other than the
-    unit is the int `(matrix * n + src) * n + dst`, for n locations; the
-    index of seen elements holds these ints.  A product of a matrix with an
-    edge matrix is computed once per call, memoised on `left * k + edge`
-    (-1 when it is zero), with one row memo per edge matrix.  Returns the
-    location names, the matrices by id, and the elements other than the unit
-    with their witnesses in insertion order, stopping at `cap` of them.
-    """
+def _intern_edges(a: RegionSplitAutomaton, kind: str):
+    """The location ids, the matrix ids and the (name, src, matrix, dst) ids
+    of the nonzero edge orbits of the kind, interned in `a.edges` order.  An
+    element other than the unit is the int `(matrix * n + src) * n + dst`,
+    for n locations."""
     loc_ids: dict[str, int] = {}
     mat_ids: dict[Matrix, int] = {}
     edges = []
@@ -110,6 +100,28 @@ def _saturate_ids(a: RegionSplitAutomaton, kind: str, cap: int):
             edges.append((e.name, loc_ids.setdefault(eo.src, len(loc_ids)),
                           mat_ids.setdefault(eo.matrix, len(mat_ids)),
                           loc_ids.setdefault(eo.dst, len(loc_ids))))
+    return loc_ids, mat_ids, edges
+
+
+def _element(kind: str, locations: list[str], matrices: list[Matrix],
+             key: int) -> OrbitElement:
+    rest, dst = divmod(key, len(locations))
+    mat, src = divmod(rest, len(locations))
+    return OrbitElement(kind, "elem", locations[src], matrices[mat],
+                        locations[dst])
+
+
+def _saturate_ids(a: RegionSplitAutomaton, kind: str, cap: int):
+    """The breadth-first search of `saturate` on interned ids.
+
+    The edge matrices are interned first, so an edge matrix id is below `k`.
+    A product of a matrix with an edge matrix is computed once per call,
+    memoised on `left * k + edge` (-1 when it is zero), with one row memo
+    per edge matrix.  Returns the location names, the matrices by id, and
+    the elements other than the unit with their witnesses in insertion
+    order, stopping at `cap` of them.
+    """
+    loc_ids, mat_ids, edges = _intern_edges(a, kind)
     n, k = len(loc_ids), len(mat_ids)
     matrices = list(mat_ids)
     out_edges: list[list[tuple[str, int, int]]] = [[] for _ in range(n)]
@@ -175,31 +187,59 @@ def _level_sets(a: RegionSplitAutomaton, kind: str, h: int,
     unit's products are its other factor, and a matrix element is composed
     only with the elements whose source is its target, the only products
     that can be nonzero.  The cap is checked as in plain squaring: a round
-    raises when its level exceeds the cap.
+    raises when its level exceeds the cap, and h = 0 runs no round.
+
+    The search runs on interned ids (`_level_set_ids`) and builds the
+    elements after it, once its row memos are freed.
     """
-    one = orbit_one(kind)
-    level: set[OrbitElement] = {one}
-    level.update(eo for eo in a.edge_orbits[kind] if not eo.is_zero)
-    new = level - {one}
-    by_src: dict[str, list[OrbitElement]] = {}
-    for _ in range(h):
-        if len(level) > cap:
-            raise SaturationCapExceeded(cap, level)
-        for e in new:
-            by_src.setdefault(e.src, []).append(e)
-        nxt = set(level)
-        for e1 in new:
-            for e2 in by_src.get(e1.dst, ()):
-                c = orbit_compose(e1, e2)
-                if not c.is_zero and c not in nxt:
-                    nxt.add(c)
-                    if len(nxt) > cap:
-                        raise SaturationCapExceeded(cap, nxt)
-        new = nxt - level
-        if not new:
-            break
-        level = nxt
+    locations, matrices, keys = _level_set_ids(a, kind, h, cap)
+    level = {orbit_one(kind)}
+    level.update(_element(kind, locations, matrices, key) for key in keys)
+    if h and len(level) > cap:
+        raise SaturationCapExceeded(cap, level)
     return level
+
+
+def _level_set_ids(a: RegionSplitAutomaton, kind: str, h: int, cap: int):
+    """The semi-naive rounds of `_level_sets` on interned ids, with one row
+    memo per right-factor matrix.  Returns the location names, the matrices
+    by id and the level without the unit, stopping as soon as the level with
+    the unit exceeds `cap`."""
+    loc_ids, mat_ids, edges = _intern_edges(a, kind)
+    n = len(loc_ids)
+    matrices = list(mat_ids)
+    row_memos: list[dict] = [{} for _ in matrices]
+    # the elements new in the round before, as (src, matrix, dst) ids
+    new = list(dict.fromkeys(edge[1:] for edge in edges))
+    level = dict.fromkeys((mat * n + src) * n + dst for src, mat, dst in new)
+    # the elements of the level by source, as (matrix, dst) ids
+    by_src: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for _ in range(h):
+        if len(level) >= cap:
+            break
+        for src, mat, dst in new:
+            by_src[src].append((mat, dst))
+        fresh = []
+        for src, left, here in new:
+            for right, dst in by_src[here]:
+                m = matrix_product(kind, matrices[left], matrices[right],
+                                   row_memos[right])
+                if m is None:
+                    continue
+                prod = mat_ids.setdefault(m, len(mat_ids))
+                if prod == len(matrices):
+                    matrices.append(m)
+                    row_memos.append({})
+                c = (prod * n + src) * n + dst
+                if c not in level:
+                    level[c] = None
+                    fresh.append((src, prod, dst))
+                    if len(level) >= cap:
+                        return list(loc_ids), matrices, level
+        if not fresh:
+            break
+        new = fresh
+    return list(loc_ids), matrices, level
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,14 @@ Entries compose through semiring matrix products, which agrees with whole-path
 evaluation because the per-edge languages concatenate exactly.
 
 An orbit element is a slotted value object, immutable by convention, whose
-hash is computed once when it is built.  Row i of a product A·B depends only
-on row i of A and on B, so the right factor B of `orbit_compose` keeps the
-product rows it has computed, keyed by the row of A, for as long as the
-element lives.  Breadth-first saturation does not compose elements: it
-multiplies matrices with `matrix_product`, whose row memo belongs to the
-caller, so its row products live only as long as one saturation.
+hash is computed once when it is built.  Each kind has one zero element,
+shared by `orbit_zero`, `orbit_element` and `orbit_compose`.
 
-Each kind has one zero element, shared by `orbit_zero`, `orbit_element` and
-`orbit_compose`: most products in a level-set search are zero, and none of
-them builds an object.
+`matrix_product` is the one routine that multiplies matrices.  Row i of a
+product A·B depends only on row i of A and on B, so it takes a row memo for
+the right factor B, keyed by the row of A, that the caller owns: both
+monoid searches keep one per right-factor matrix for the length of a call,
+and `orbit_compose` passes a fresh one.
 """
 
 from __future__ import annotations
@@ -77,9 +75,9 @@ Matrix = tuple[tuple[int, ...], ...]
 class OrbitElement:
     """One orbit-monoid value: the zero, the unit, or a matrix from the
     vertices of `src` to those of `dst`.  Nothing may assign to it after
-    `__init__`: its hash and its row products depend on the fields."""
+    `__init__`: its hash depends on the fields."""
 
-    __slots__ = ("kind", "tag", "src", "matrix", "dst", "_hash", "_row_products")
+    __slots__ = ("kind", "tag", "src", "matrix", "dst", "_hash")
 
     def __init__(self, kind: str, tag: str, src: Optional[str] = None,
                  matrix: Optional[Matrix] = None, dst: Optional[str] = None):
@@ -89,7 +87,6 @@ class OrbitElement:
         self.matrix = matrix
         self.dst = dst
         self._hash = hash((kind, tag, src, matrix, dst))
-        self._row_products = None     # row of a left factor -> product row
 
     def __hash__(self) -> int:
         return self._hash
@@ -163,20 +160,10 @@ def orbit_compose(e1: OrbitElement, e2: OrbitElement) -> OrbitElement:
     assert a is not None and b is not None
     if len(a[0]) != len(b):
         return _ZEROS[kind]
-    # row i of a.b depends only on row i of a, so b keeps its row products;
-    # concurrent callers can at worst lose an entry, never corrupt one
-    memo = e2._row_products
-    if memo is None:
-        memo = e2._row_products = {}
-    rows = []
-    for a_row in a:
-        row = memo.get(a_row)
-        if row is None:
-            row = memo[a_row] = _row_times(kind, a_row, b)
-        rows.append(row)
-    if not any(map(any, rows)):
+    m = matrix_product(kind, a, b, {})
+    if m is None:
         return _ZEROS[kind]
-    return OrbitElement(kind, "elem", e1.src, tuple(rows), e2.dst)
+    return OrbitElement(kind, "elem", e1.src, m, e2.dst)
 
 
 def matrix_product(kind: str, a: Matrix, b: Matrix,
@@ -271,14 +258,18 @@ def path_orbit_direct(automaton, path, kind: str) -> OrbitElement:
     return _orbits(automaton, list(path), path[0].src, path[-1].dst)[kind]
 
 
-def idempotent_power(e: OrbitElement, cap: int = 1 << 16) -> tuple[int, OrbitElement]:
-    """Smallest k with (e^k)^2 = e^k; exists by finiteness."""
+IDEMPOTENT_POWER_CAP = 1 << 16
+
+
+def idempotent_power(e: OrbitElement) -> tuple[int, OrbitElement]:
+    """Smallest k with (e^k)^2 = e^k; exists by finiteness, and is searched
+    up to `IDEMPOTENT_POWER_CAP`."""
     power = e
     k = 1
     while orbit_compose(power, power) != power:
         power = orbit_compose(power, e)
         k += 1
-        if k > cap:
+        if k > IDEMPOTENT_POWER_CAP:
             raise RuntimeError("no idempotent power found within cap")
     return k, power
 

@@ -150,30 +150,81 @@ def _cap_round(levels):
     return None
 
 
-@pytest.mark.parametrize("name", [*NAMES, "fam_3_2"])
+@pytest.mark.parametrize("name", [*NAMES, "fam_3_2", "draws"])
 def test_level_sets_match_naive_squaring(split_corpus, name):
     """Semi-naive rounds build the level set of naive squaring at every
     depth up to the fixpoint, and a cap stops both in the same round."""
+    if name == "draws":
+        subjects = [region_split(a) for a in _deterministic_draws(13, 120)]
+    elif name == "fam_3_2":
+        subjects = [region_split(parse_automaton(FAM_3_2))]
+    else:
+        subjects = [split_corpus[name]]
+    for rs in subjects:
+        for kind in KINDS:
+            levels = list(_reference_levels(rs, kind))
+            depth = len(levels) - 1
+            for h in range(depth + 2):
+                assert _level_sets(rs, kind, h) == levels[min(h, depth)], \
+                    (kind, h, serialize_automaton(rs))
+            # caps that the level first exceeds in the first, a middle and
+            # the last round
+            sizes = [len(level) for level in levels]
+            for cap in {sizes[0] - 1, sizes[depth // 2], sizes[depth] - 1} - {0}:
+                stop = _cap_round(_reference_levels(rs, kind, cap))
+                assert (stop is None) == (cap >= sizes[depth]), (kind, cap)
+                for h in range(depth + 2):
+                    try:
+                        _level_sets(rs, kind, h, cap)
+                        raised = False
+                    except SaturationCapExceeded as exc:
+                        raised = True
+                        # the level as it first exceeds the cap
+                        assert len(exc.partial) == max(cap + 1, sizes[0])
+                        assert exc.partial <= levels[min(stop + 1, depth)]
+                    assert raised == (stop is not None and h > stop), \
+                        (kind, cap, h, serialize_automaton(rs))
+
+
+@pytest.mark.parametrize("name", [*NAMES, "fam_3_2"])
+def test_level_sets_compute_each_row_product_once(split_corpus, monkeypatch,
+                                                  name):
+    """One `_level_sets` call multiplies each distinct (left row, right
+    matrix) pair once, however many compositions meet it."""
     rs = (region_split(parse_automaton(FAM_3_2)) if name == "fam_3_2"
           else split_corpus[name])
+    orbits = importlib.import_module("tempoclass.orbits")
+    real = orbits._row_times
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
     for kind in KINDS:
-        levels = list(_reference_levels(rs, kind))
-        depth = len(levels) - 1
-        for h in range(depth + 2):
-            assert _level_sets(rs, kind, h) == levels[min(h, depth)], (kind, h)
-        # caps that the level first exceeds in the first, a middle and the
-        # last round
-        sizes = [len(level) for level in levels]
-        for cap in {sizes[0] - 1, sizes[depth // 2], sizes[depth] - 1} - {0}:
-            stop = _cap_round(_reference_levels(rs, kind, cap))
-            assert (stop is None) == (cap >= sizes[depth]), (kind, cap)
-            for h in range(depth + 2):
-                try:
-                    _level_sets(rs, kind, h, cap)
-                    raised = False
-                except SaturationCapExceeded:
-                    raised = True
-                assert raised == (stop is not None and h > stop), (kind, cap, h)
+        # the levels up to one past the fixpoint, as the equality test above
+        # pins them to naive squaring
+        levels = [_level_sets(rs, kind, 0)]
+        while len(levels) < 2 or levels[-1] != levels[-2]:
+            levels.append(_level_sets(rs, kind, len(levels)))
+        rank: dict[OrbitElement, int] = {}
+        for r, level in enumerate(levels):
+            for x in level:
+                rank.setdefault(x, r)
+        by_src: dict[str, list[OrbitElement]] = {}
+        for x in levels[-1]:
+            if x.tag == "elem":
+                by_src.setdefault(x.src, []).append(x)
+        # a round composes each element new in the round before, on the
+        # left, with every element of the level
+        pairs = {(row, y.matrix) for x in levels[-1] if x.tag == "elem"
+                 for y in by_src.get(x.dst, ()) if rank[x] >= rank[y]
+                 for row in x.matrix}
+        monkeypatch.setattr(orbits, "_row_times", counting)
+        calls[0] = 0
+        assert _level_sets(rs, kind, len(levels) - 1) == levels[-1]
+        monkeypatch.undo()
+        assert calls[0] == len(pairs), kind
 
 
 @pytest.mark.parametrize("name", [*NAMES, "fam_3_2", "fam_4_2", "draws"])
@@ -193,32 +244,15 @@ def test_saturate_matches_all_edge_reference(split_corpus, name):
 
 
 @pytest.mark.parametrize("name", [*NAMES, "fam_3_2"])
-def test_compose_matches_reference_product(split_corpus, monkeypatch, name):
+def test_compose_matches_reference_product(split_corpus, name):
     rs = (region_split(parse_automaton(FAM_3_2)) if name == "fam_3_2"
           else split_corpus[name])
-    orbits = importlib.import_module("tempoclass.orbits")
-    real = orbits._row_times
-    rows_computed = [0]
-
-    def counting(*args):
-        rows_computed[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(orbits, "_row_times", counting)
     for kind in KINDS:
         elements = list(saturate(rs, kind))
-        rows_computed[0] = distinct_rows = 0
-        # a fresh table, each entry the right factor of every element in turn
         for eo in edge_orbit_table(rs)[kind]:
-            rows = set()
             for x in elements:
                 assert orbit_compose(x, eo) == _reference_product(x, eo), \
                     (kind, x, eo)
-                if x.tag == eo.tag == "elem" and x.dst == eo.src:
-                    rows.update(x.matrix)
-            distinct_rows += len(rows)
-        # one row-times-matrix product per distinct (row, right factor)
-        assert rows_computed[0] == distinct_rows, kind
 
 
 def test_orbit_element_value_semantics(split_corpus):
@@ -240,10 +274,6 @@ def test_orbit_element_value_semantics(split_corpus):
         for eo in rs.edge_orbits[kind]:
             if eo.is_zero:
                 continue
-            # as a right factor of orbit_compose, eo keeps row products,
-            # which show in neither equality, hash nor repr
-            for x in reach:
-                orbit_compose(x, eo)
             assert orbit_compose(orbit_one(kind), eo) is eo
             fresh = orbit_element(kind, eo.src, eo.matrix, eo.dst)
             assert eo == fresh and fresh == eo and hash(eo) == hash(fresh)
