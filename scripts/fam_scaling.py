@@ -29,6 +29,9 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from tempoclass.corpus import fam  # noqa: E402
 
 CHILD = """\
 import json, sys, time
@@ -39,23 +42,6 @@ seconds = time.perf_counter() - t0
 del report["stats"]["wallTimeMs"]
 print(json.dumps({"report": report, "seconds": seconds}))
 """
-
-
-def fam(k: int, clocks: int) -> str:
-    """The text of fam(k, clocks), for 2 or 3 clocks."""
-    text = f"""\
-automaton fam_{k}_{clocks}
-clocks {"x y z" if clocks == 3 else "x y"}
-alphabet a b c
-location q initial accepting
-location p accepting
-edge q -> p on a guard x < {k} reset x
-edge p -> q on b guard y > 1, y < {k} reset y
-edge q -> q on c guard x < 1
-"""
-    if clocks == 3:
-        text += f"edge p -> p on c guard z < {k} reset z\n"
-    return text
 
 
 def main(argv: list[str] | None = None) -> int:

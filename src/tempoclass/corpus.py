@@ -1,4 +1,5 @@
-"""The ten benchmark automata used throughout the test-suite and scripts.
+"""The ten benchmark automata used throughout the test-suite and scripts,
+and the text of the scaling family fam(K, c).
 
 Each starts at the zero clock vector; marked locations accept unconditionally.
 """
@@ -104,3 +105,17 @@ NAMES = tuple(SOURCES)
 def automaton(name: str) -> TimedAutomaton:
     return parse_automaton(SOURCES[name])
 
+
+def fam(k: int, clocks: int) -> str:
+    """The text of fam(k, clocks), for 2 or 3 clocks and constants up to k."""
+    z_edge = f"edge p -> p on c guard z < {k} reset z\n" if clocks == 3 else ""
+    return f"""\
+automaton fam_{k}_{clocks}
+clocks {"x y z" if clocks == 3 else "x y"}
+alphabet a b c
+location q initial accepting
+location p accepting
+edge q -> p on a guard x < {k} reset x
+edge p -> q on b guard y > 1, y < {k} reset y
+edge q -> q on c guard x < 1
+{z_edge}"""

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from graphlib import TopologicalSorter
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .dbm import LanguageClass, language_class
 from .regions import Region, barycentric_coordinates
@@ -293,78 +294,71 @@ def scc_decomposition(e: OrbitElement) -> SccDecomposition:
     m = e.matrix
     assert m is not None
     n = len(m)
-    adj = {i: [j for j in range(n) if m[i][j] != 0] for i in range(n)}
-    sccs = _tarjan(n, adj)
-    comp_of = {}
-    for idx, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = idx
-    preds: dict[int, set[int]] = {i: set() for i in range(len(sccs))}
-    for u in range(n):
-        for v in adj[u]:
-            if comp_of[u] != comp_of[v]:
-                preds[comp_of[v]].add(comp_of[u])
-    # Kahn with smallest-vertex tie-break for a canonical topological order
-    ordered: list[int] = []
-    remaining = set(range(len(sccs)))
-    while remaining:
-        ready = [c for c in remaining if preds[c] <= set(ordered)]
-        ready.sort(key=lambda c: min(sccs[c]))
-        ordered.append(ready[0])
-        remaining.remove(ready[0])
-    topo = tuple(frozenset(sccs[c]) for c in ordered)
+    adj = {i: [j for j in range(n) if m[i][j]] for i in range(n)}
+    sccs = [frozenset(c) for c in _tarjan(adj)]
+    comp_of = {v: c for c in sccs for v in c}
+    preds = {c: {comp_of[u] for v in c for u in range(n) if m[u][v]} - {c} for c in sccs}
+    # smallest-vertex tie-break for a canonical topological order
+    topo = tuple(_topological_order(preds, key=min))
     initial_sets = tuple(frozenset().union(*topo[:i]) for i in range(1, len(topo)))
     return SccDecomposition(topo, initial_sets)
 
 
-def _tarjan(n: int, adj: dict[int, list[int]]) -> list[set[int]]:
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[set[int]] = []
-    counter = [0]
-
-    def strongconnect(v0: int):
-        work = [(v0, iter(adj[v0]))]
-        index[v0] = low[v0] = counter[0]
-        counter[0] += 1
-        stack.append(v0)
-        on_stack.add(v0)
+def _tarjan(adj: dict[Hashable, Iterable[Hashable]]) -> list[set]:
+    """SCCs of the digraph `adj` (node -> successors, every node a key) in
+    reverse topological order, searched from the nodes in the dict's order."""
+    index: dict[Hashable, int] = {}
+    low: dict[Hashable, int] = {}
+    on_stack: set[Hashable] = set()
+    stack: list[Hashable] = []
+    sccs: list[set] = []
+    for root in adj:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(adj[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
                     work.append((w, iter(adj[w])))
-                    advanced = True
                     break
-                elif w in on_stack:
+                if w in on_stack:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-
-    for v in range(n):
-        if v not in index:
-            strongconnect(v)
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = set()
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.add(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
     return sccs
+
+
+def _topological_order(preds: dict[Hashable, set], key: Callable) -> list:
+    """The nodes of `preds` (node -> set of predecessors) in topological
+    order, least `key` first among the ready nodes; `ValueError` on a cycle."""
+    sorter = TopologicalSorter(preds)
+    sorter.prepare()
+    ready, ordered = [], []
+    while sorter.is_active():
+        ready.extend(sorter.get_ready())
+        ordered.append(min(ready, key=key))
+        ready.remove(ordered[-1])
+        sorter.done(ordered[-1])
+    return ordered
 
 
 def lyapunov_values(region: Region, initial_sets: Sequence[frozenset[int]],

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .orbits import EdgeOrbitTable, edge_orbit_table
+from .orbits import EdgeOrbitTable, _tarjan, _topological_order, edge_orbit_table
 from .regions import Region, region_of, time_successor_chain
 from .ta import (TAError, TimedAutomaton, Edge, Guard, ClockConstraint,
                  ClockVector, check_deterministic)
@@ -313,7 +313,8 @@ def _parse_region_expr(expr: str, clocks: tuple[str, ...]
 
     Raises `TAError` on an atom it cannot read and on atoms no region
     satisfies: two integer parts for one clock, a fraction equal to both a
-    zero and a positive one, or one fraction below an equal or a zero one.
+    zero and a positive one, one fraction below an equal or a zero one, or
+    positive fractions that are not totally ordered.
     """
     import re
     idx = {c: i for i, c in enumerate(clocks)}
@@ -381,39 +382,27 @@ def _parse_region_expr(expr: str, clocks: tuple[str, ...]
     for i in bounded:
         if i not in zero and ints.get(i, 0) + 1 > bound:
             bound = ints.get(i, 0) + 1
-    # union-find over equal fractional parts
-    parent = {i: i for i in bounded if i not in zero}
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    # the positive blocks are the SCCs of the symmetric frac(x)=frac(y) graph
+    same: dict[int, list[int]] = {i: [] for i in bounded - zero}
     for i, j in equal:
-        if i in parent and j in parent:
-            parent[find(i)] = find(j)
-    groups: dict[int, set[int]] = {}
-    for i in parent:
-        groups.setdefault(find(i), set()).add(i)
-    order: dict[frozenset[int], set[frozenset[int]]] = {}
-    blocks = {find(i): frozenset(groups[find(i)]) for i in parent}
-    uniq = sorted(set(blocks.values()), key=min)
-    before: dict[frozenset[int], set[frozenset[int]]] = {b: set() for b in uniq}
+        if i not in zero:
+            same[i].append(j)
+            same[j].append(i)
+    block = {i: comp for comp in map(frozenset, _tarjan(same)) for i in comp}
+    before: dict[frozenset[int], set[frozenset[int]]] = {b: set() for b in block.values()}
     for i, j in less:
-        if i in parent:
-            if find(i) == find(j):
+        if i not in zero:
+            if block[i] == block[j]:
                 raise TAError(f"frac({clocks[i]})<frac({clocks[j]}) orders two equal "
                               f"fractions in region expression {expr!r}")
-            before[blocks[find(j)]].add(blocks[find(i)])
-    ordered: list[frozenset[int]] = []
-    remaining = list(uniq)
-    while remaining:
-        ready = [b for b in remaining if before[b] <= set(ordered)]
-        if not ready:
-            raise TAError("region expression does not totally order the fractional parts")
-        ready.sort(key=min)
-        b = ready[0]
-        ordered.append(b)
-        remaining.remove(b)
+            before[block[j]].add(block[i])
+    # the order is total iff an atom links each consecutive pair of blocks
+    try:
+        ordered = _topological_order(before, key=min)
+        if any(b1 not in before[b2] for b1, b2 in zip(ordered, ordered[1:])):
+            raise ValueError
+    except ValueError:
+        raise TAError("region expression does not totally order the fractional parts")
     frac_blocks = ((frozenset(zero),) if zero else ()) + tuple(ordered)
     int_part = tuple(None if i in above else ints.get(i, 0) for i in range(len(clocks)))
     return Region(bound, int_part, frac_blocks, bool(zero)), above_literal

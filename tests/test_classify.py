@@ -9,9 +9,9 @@ from tempoclass.classify import (SaturationCapExceeded, _level_sets, classify,
                                  guards_bounded_nonpunctual,
                                  is_structurally_meager, is_structurally_obese,
                                  is_thick, saturate)
-from tempoclass.corpus import NAMES, automaton
+from tempoclass.corpus import NAMES, automaton, fam
 from tempoclass.orbits import (FAST, INSTANT, KINDS, SLOW, WIDE, OrbitElement,
-                               edge_orbit, edge_orbit_table, orbit_compose,
+                               _tarjan, edge_orbit, edge_orbit_table, orbit_compose,
                                orbit_element, orbit_one, orbit_zero,
                                path_orbit, path_orbit_direct, semiring_add,
                                semiring_mul)
@@ -59,21 +59,7 @@ def test_saturate_a7_wide_cycle(split_corpus):
     assert min(len(w) for _, w in hits) == 2
 
 
-def fam(k: int) -> str:
-    """The two-clock scaling family fam(K, 2), constants up to K."""
-    return f"""\
-automaton fam_{k}_2
-clocks x y
-alphabet a b c
-location q initial accepting
-location p accepting
-edge q -> p on a guard x < {k} reset x
-edge p -> q on b guard y > 1, y < {k} reset y
-edge q -> q on c guard x < 1
-"""
-
-
-FAM_3_2 = fam(3)
+FAM_3_2 = fam(3, 2)
 
 
 def _reference_product(e1, e2):
@@ -233,7 +219,7 @@ def test_saturate_matches_all_edge_reference(split_corpus, name):
     if name == "draws":
         subjects = [region_split(a) for a in _deterministic_draws(13, 300)]
     elif name.startswith("fam_"):
-        subjects = [region_split(parse_automaton(fam(int(name[4]))))]
+        subjects = [region_split(parse_automaton(fam(int(name[4]), 2)))]
     else:
         subjects = [split_corpus[name]]
     for rs in subjects:
@@ -342,7 +328,7 @@ def test_saturation_computes_each_product_once(monkeypatch):
         return real(kind, a, b, row_memo)
 
     monkeypatch.setattr(classify_module, "matrix_product", counting)
-    rs = region_split(parse_automaton(fam(6)))
+    rs = region_split(parse_automaton(fam(6, 2)))
     reach = saturate(rs, "f")
     out: dict[str, list] = {}
     for e, eo in zip(rs.edges, rs.edge_orbits["f"]):
@@ -540,10 +526,59 @@ def test_modes_agree_on_random_automata():
             _assert_thick_witness(region_split(a), bfs.witnesses[-1])
 
 
+def _meager_on_graphs(rs) -> bool:
+    """Meagerness without a monoid.  The vertex graph has the (location,
+    vertex) pairs as nodes and the nonzero entries of the edges' f orbits as
+    steps.  Some cycle's f orbit is wide on its diagonal iff a closed walk
+    takes a wide step, or two distinct walks from a vertex back to it follow
+    one edge word: then an SCC of the pair graph, whose nodes are two
+    vertices on one location and whose steps move both along one edge, holds
+    a diagonal and an off-diagonal pair."""
+    edges = [e for e in rs.edge_orbits["f"] if not e.is_zero]
+    size = {q: len(rs.location_vertices(q)) for q in rs.locations}
+    steps = {(q, i): [] for q in rs.locations for i in range(size[q])}
+    wide = []
+    for e in edges:
+        for i, row in enumerate(e.matrix):
+            for j, val in enumerate(row):
+                if val:
+                    steps[e.src, i].append((e.dst, j))
+                    if val == WIDE:
+                        wide.append(((e.src, i), (e.dst, j)))
+    scc_of = {v: k for k, comp in enumerate(_tarjan(steps)) for v in comp}
+    if any(scc_of[u] == scc_of[v] for u, v in wide):
+        return False
+    pair_steps = {(q, i, j): [] for q in rs.locations
+                  for i in range(size[q]) for j in range(size[q])}
+    for e in edges:
+        for i, row_i in enumerate(e.matrix):
+            for j, row_j in enumerate(e.matrix):
+                pair_steps[e.src, i, j] += [
+                    (e.dst, k, l) for k, a in enumerate(row_i) if a
+                    for l, b in enumerate(row_j) if b]
+    return not any({i == j for _, i, j in comp} == {True, False}
+                   for comp in _tarjan(pair_steps))
+
+
+def test_meagerness_oracle_on_graphs(split_corpus):
+    """The graph criterion agrees with the f-monoid scan; both verdicts occur
+    often among the subjects."""
+    subjects = [*split_corpus.values(),
+                *(region_split(parse_automaton(fam(k, 2))) for k in range(2, 7)),
+                region_split(parse_automaton(RING3)),
+                *(region_split(a) for a in _deterministic_draws(7, 4000))]
+    counts = {True: 0, False: 0}
+    for rs in subjects:
+        meager = is_structurally_meager(rs).meager
+        assert _meager_on_graphs(rs) == meager, serialize_automaton(rs)
+        counts[meager] += 1
+    assert min(counts.values()) > len(subjects) // 10, counts
+
+
 def test_reachability_monoid_is_smallest(split_corpus):
     """p is a monoid image of f and of d, so `monoidSize` never needs it."""
     subjects = [*split_corpus.values(),
-                *(region_split(parse_automaton(fam(k))) for k in (2, 3, 4)),
+                *(region_split(parse_automaton(fam(k, 2))) for k in (2, 3, 4)),
                 *(region_split(a) for a in _deterministic_draws(11, 300))]
     for rs in subjects:
         sizes = {kind: len(saturate(rs, kind)) for kind in KINDS}

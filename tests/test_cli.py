@@ -182,6 +182,7 @@ location q initial x=0, y=0 accepting
 starting q ⌊x⌋=0, frac(x)=0
 """
 
+# x and y both have positive fractions, and no atom orders them
 STARTING_BARE = """automaton s
 clocks x y
 alphabet a
@@ -264,8 +265,7 @@ starting q ⌊x⌋=0
                  "initial vector violates the starting constraint",
                  id="starting-omits-clock"),
     pytest.param({}, {"s.ta": STARTING_BARE}, ["validate", "s.ta"],
-                 "initial vector violates the starting constraint",
-                 id="starting-bare"),
+                 "does not totally order", id="starting-bare"),
     pytest.param({}, {"s.ta": STARTING_ABOVE_AND_FRACTION}, ["validate", "s.ta"],
                  "is above the bound and also has its integer part or fraction fixed",
                  id="starting-above-bound-with-fraction"),
@@ -289,6 +289,13 @@ starting q ⌊x⌋=0
                      atoms="frac(x)=frac(y), frac(y)<frac(x)")},
                  ["regionize", "s.ta"], "orders two equal fractions",
                  id="starting-equal-fractions-ordered"),
+    pytest.param({}, {"s.ta": STARTING_CONTRADICTS.format(atoms="⌊x⌋=0, ⌊y⌋=0")},
+                 ["regionize", "s.ta"], "does not totally order the fractional parts",
+                 id="starting-fractions-unordered"),
+    pytest.param({}, {"s.ta": STARTING_CONTRADICTS.format(
+                     atoms="frac(x)<frac(y), frac(y)<frac(x)")},
+                 ["regionize", "s.ta"], "does not totally order the fractional parts",
+                 id="starting-fractions-cyclic"),
     pytest.param({}, {"s.ta": STARTING_ABOVE_LITERAL_LOW}, ["validate", "s.ta"],
                  "x>1 in the starting line of 'q' is below the max constant 2; "
                  "write x>M", id="starting-above-literal-below-bound"),
