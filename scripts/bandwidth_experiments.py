@@ -10,27 +10,18 @@ structural verdict rather than reconciled.
 
 import json
 import time
-from fractions import Fraction as F
 
 from tempoclass.bandwidth import bandwidth_curve, curve_csv, fit_class
 from tempoclass.classify import classify
-from tempoclass.corpus import automaton
-
-EPS = [F(1, 2), F(1, 4), F(1, 8), F(1, 16)]
-PLAN = {
-    "a1": ([F(3, 16), F(3, 8), F(3, 4), F(3, 2)], 100_000),
-    "a4": ([F(10)], 500_000),
-    "a5": ([F(40)], 100_000),
-    "a6": ([F(2), F(4), F(6)], 140_000),
-}
+from tempoclass.corpus import FIT_EPS, FIT_PLAN, automaton
 
 
 def main() -> None:
     report = {}
-    for name, (durations, cap) in PLAN.items():
+    for name, (durations, cap) in FIT_PLAN.items():
         t0 = time.monotonic()
         a = automaton(name)
-        rows = bandwidth_curve(a, durations, EPS, cap=cap)
+        rows = bandwidth_curve(a, durations, FIT_EPS, cap=cap)
         fit = fit_class(rows)
         verdict = classify(a).classification
         csv_path = f"curve_{name}.csv"

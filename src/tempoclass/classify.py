@@ -289,11 +289,11 @@ def _witnesses(*found: tuple) -> tuple[PatternWitness, ...]:
     return tuple(PatternWitness(*f) for f in found if f[0] is not None)
 
 
-def is_structurally_meager(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
-                           mode: str = "bfs", reach=None) -> MeagerReport:
+def is_structurally_meager(a: RegionSplitAutomaton, mode: str = "bfs",
+                           reach=None) -> MeagerReport:
     """No cyclic freedom orbit may carry wide on its diagonal."""
     if reach is None:
-        reach = _reach(a, "f", cap, mode)
+        reach = _reach(a, "f", DEFAULT_CAP, mode)
     for elem, wit in reach.items():
         if elem.cyclic:
             for i, v in enumerate(elem.diagonal()):
@@ -302,9 +302,8 @@ def is_structurally_meager(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
     return MeagerReport(True, None)
 
 
-def is_structurally_obese(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
-                          mode: str = "bfs", reach_d=None, reach_p=None
-                          ) -> ObeseReport:
+def is_structurally_obese(a: RegionSplitAutomaton, mode: str = "bfs",
+                          reach_d=None, reach_p=None) -> ObeseReport:
     """Fast diagonal (type I), or an instant/instant pair with a slow edge
     between them whose return is realizable on the same region (type II).
 
@@ -312,7 +311,7 @@ def is_structurally_obese(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
     reachability orbit, so `reach_p` is ignored; it is kept only for callers
     that still pass it."""
     if reach_d is None:
-        reach_d = _reach(a, "d", cap, mode)
+        reach_d = _reach(a, "d", DEFAULT_CAP, mode)
     for elem, wit in reach_d.items():
         if elem.cyclic:
             for i, val in enumerate(elem.diagonal()):
@@ -348,8 +347,7 @@ def _doubling_depth(cap: int) -> int:
     return min(h, 32)
 
 
-def is_thick(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
-             reach=None) -> ThickReport:
+def is_thick(a: RegionSplitAutomaton, reach=None) -> ThickReport:
     """Thick iff some cycle's reachability orbit is the complete graph.
 
     `reach` is the freedom monoid, whose support is the reachability orbit,
@@ -360,7 +358,7 @@ def is_thick(a: RegionSplitAutomaton, cap: int = DEFAULT_CAP,
     breadth-first freedom monoid.
     """
     if reach is None or next(iter(reach)).kind != "f":
-        reach = saturate(a, "f", cap)
+        reach = saturate(a, "f")
     for elem, wit in reach.items():
         if (elem.cyclic and all(v != 0 for row in elem.matrix for v in row)
                 and (len(elem.matrix) > 1 or elem.entry(0, 0) == WIDE)):

@@ -161,17 +161,13 @@ def cmd_orbit(args) -> int:
         paths = _expand_paths(rsta, wanted)
         if not paths:
             raise UsageError(f"no path of {args.file} matches {args.path!r}")
-    entries = []
-    for p in paths:
-        e = path_orbit(rsta, p, args.kind)
-        entries.append({"path": [x.name for x in p],
-                        "cyclic": e.cyclic,
-                        "orbit": orbit_to_json(e)})
-    entries.sort(key=lambda d: (not d["cyclic"], d["path"]))
+    orbits = sorted(((path_orbit(rsta, p, args.kind), [x.name for x in p])
+                     for p in paths), key=lambda o: (not o[0].cyclic, o[1]))
+    entries = [{"path": names, "cyclic": e.cyclic, "orbit": orbit_to_json(e)}
+               for e, names in orbits]
     if args.dot:
-        chosen = next((p for p, d in zip(paths, entries) if d["cyclic"]), paths[0])
-        Path(args.dot).write_text(
-            export_dot(path_orbit(rsta, chosen, args.kind), rsta), encoding="utf-8")
+        # cyclic orbits sort first, so this is the first cyclic one if any
+        Path(args.dot).write_text(export_dot(orbits[0][0], rsta), encoding="utf-8")
     human = []
     for d in entries:
         human.append(" ".join(d["path"]) + (" (cycle)" if d["cyclic"] else ""))

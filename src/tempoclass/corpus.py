@@ -1,10 +1,12 @@
 """The ten benchmark automata used throughout the test-suite and scripts,
-and the text of the scaling family fam(K, c).
+the text of the scaling family fam(K, c), and the criterion-7 fit plan.
 
 Each starts at the zero clock vector; marked locations accept unconditionally.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction as F
 
 from .ta import TimedAutomaton, parse_automaton
 
@@ -119,3 +121,14 @@ edge q -> p on a guard x < {k} reset x
 edge p -> q on b guard y > 1, y < {k} reset y
 edge q -> q on c guard x < 1
 {z_edge}"""
+
+
+# The criterion-7 fit plan: per automaton, the duration bounds and the word
+# cap that keep grid enumeration within budget at every epsilon of FIT_EPS.
+FIT_EPS = (F(1, 2), F(1, 4), F(1, 8), F(1, 16))
+FIT_PLAN = {
+    "a1": ((F(3, 16), F(3, 8), F(3, 4), F(3, 2)), 100_000),
+    "a4": ((F(10),), 500_000),
+    "a5": ((F(40),), 100_000),
+    "a6": ((F(2), F(4), F(6)), 140_000),
+}

@@ -2,9 +2,10 @@
 
 Clocks are addressed by index here; callers map names to the automaton's clock
 order.  A region stores, per clock, either the integer part (bounded by the
-max constant) or an above-bound marker, plus the weak order of fractional
-parts of the bounded clocks.  Bounded regions are simplices; their vertices
-are the integer corner points, listed in lexicographic order.
+max constant) or an above-bound marker, plus the bounded clocks with
+fractional part 0 and the blocks of the other bounded clocks, by increasing
+fractional part.  Bounded regions are simplices; their vertices are the
+integer corner points, listed in lexicographic order.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ Vertex = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Region:
-    bound: int                                  # the constant the abstraction is relative to
-    int_part: tuple[Optional[int], ...]         # None marks a clock above the bound
-    frac_blocks: tuple[frozenset[int], ...]     # bounded clocks by increasing fractional part
-    zero_first: bool                            # first block has fractional part exactly 0
+    bound: int                                   # the constant the abstraction is relative to
+    int_part: tuple[Optional[int], ...]          # None marks a clock above the bound
+    zero_fraction: frozenset[int]                # bounded clocks with fractional part 0
+    positive_blocks: tuple[frozenset[int], ...]  # the others, by increasing fraction
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for b in self.frac_blocks:
+        seen = set(self.zero_fraction)
+        for b in self.positive_blocks:
             if not b or (b & seen):
                 raise ValueError("fractional blocks must be disjoint and non-empty")
             seen |= b
@@ -38,11 +39,8 @@ class Region:
             assert v is not None
             if not (0 <= v <= self.bound):
                 raise ValueError("integer parts must lie in [0, bound]")
-            if v == self.bound and not self._is_zero(i):
+            if v == self.bound and i not in self.zero_fraction:
                 raise ValueError("a clock at the bound must have zero fraction")
-
-    def _is_zero(self, clock: int) -> bool:
-        return self.zero_first and bool(self.frac_blocks) and clock in self.frac_blocks[0]
 
     # -- basic queries --------------------------------------------------------
 
@@ -53,14 +51,6 @@ class Region:
     @property
     def bounded(self) -> bool:
         return all(v is not None for v in self.int_part)
-
-    @property
-    def zero_fraction(self) -> frozenset[int]:
-        return self.frac_blocks[0] if self.zero_first and self.frac_blocks else frozenset()
-
-    @property
-    def positive_blocks(self) -> tuple[frozenset[int], ...]:
-        return self.frac_blocks[1:] if self.zero_first else self.frac_blocks
 
     @property
     def dimension(self) -> int:
@@ -86,26 +76,23 @@ class Region:
 
     def vertices(self) -> tuple[Vertex, ...]:
         """The dim+1 integer corner points, sorted lexicographically."""
-        return self._vertices
+        return self._staircase
 
     @cached_property
-    def _vertices(self) -> tuple[Vertex, ...]:
-        # kept in the instance dict, outside the fields that eq and hash read
+    def _staircase(self) -> tuple[Vertex, ...]:
+        """The vertices in lift order: vertex k adds 1 to the integer parts of
+        the clocks in the top k positive blocks.  Each vertex lies
+        componentwise below the next, so lift order is lexicographic order.
+        Kept in the instance dict, outside the fields that eq and hash read."""
         if not self.bounded:
             raise ValueError("vertices are defined for bounded regions only")
-        pos = self.positive_blocks
-        d = len(pos)
-        rank_of: dict[int, int] = {}
-        for rank, block in enumerate(pos, start=1):
+        base = list(self.int_part)
+        verts = [tuple(base)]
+        for block in reversed(self.positive_blocks):
             for c in block:
-                rank_of[c] = rank
-        verts = []
-        for k in range(d + 1):
-            # blocks with rank > d-k have their fraction pushed up to 1
-            v = tuple((self.int_part[i] or 0) + (1 if rank_of.get(i, 0) > d - k else 0)
-                      for i in range(self.clock_count))
-            verts.append(v)
-        return tuple(sorted(verts))
+                base[c] += 1
+            verts.append(tuple(base))
+        return tuple(verts)
 
     def contains(self, values: Sequence[Fraction]) -> bool:
         return region_of(values, self.bound) == self
@@ -132,31 +119,28 @@ class Region:
         if not reset:
             return self
         int_part = tuple(0 if i in reset else v for i, v in enumerate(self.int_part))
-        zero = self.zero_fraction | reset
-        positive = tuple(b - reset for b in self.positive_blocks)
-        blocks = (zero,) + tuple(b for b in positive if b)
-        return Region(self.bound, int_part, blocks, True)
+        positive = (b - reset for b in self.positive_blocks)
+        return Region(self.bound, int_part, self.zero_fraction | reset,
+                      tuple(b for b in positive if b))
 
     def delay_successor(self) -> Optional["Region"]:
         """The next region hit under pure delay; None when absorbing."""
-        if not self.frac_blocks:
-            return None  # every clock above the bound (or no clocks at all)
-        int_part = list(self.int_part)
-        if self.zero_first:
+        if self.zero_fraction:
             # zero-fraction clocks pick up an infinitesimal positive fraction;
             # those already at the bound move above it
-            moved = {c for c in self.frac_blocks[0] if int_part[c] == self.bound}
-            for c in moved:
-                int_part[c] = None
-            fresh = self.frac_blocks[0] - moved
-            blocks = ((fresh,) if fresh else ()) + self.frac_blocks[1:]
-            return Region(self.bound, tuple(int_part), blocks, False)
-        # the top fractional block reaches the next integer
-        top = self.frac_blocks[-1]
-        for c in top:
-            assert int_part[c] is not None
-            int_part[c] = int_part[c] + 1  # stays <= bound: positive fraction forced < bound
-        return Region(self.bound, tuple(int_part), (top,) + self.frac_blocks[:-1], True)
+            moved = {c for c in self.zero_fraction if self.int_part[c] == self.bound}
+            int_part = tuple(None if i in moved else v
+                             for i, v in enumerate(self.int_part))
+            fresh = self.zero_fraction - moved
+            return Region(self.bound, int_part, frozenset(),
+                          ((fresh,) if fresh else ()) + self.positive_blocks)
+        if not self.positive_blocks:
+            return None  # every clock above the bound (or no clocks at all)
+        # the top fractional block reaches the next integer, which stays <= bound
+        # because a positive fraction forces the integer part below it
+        top = self.positive_blocks[-1]
+        int_part = tuple(v + 1 if i in top else v for i, v in enumerate(self.int_part))
+        return Region(self.bound, int_part, top, self.positive_blocks[:-1])
 
 
 def region_of(values: Sequence[Fraction], bound: int) -> Region:
@@ -176,9 +160,9 @@ def region_of(values: Sequence[Fraction], bound: int) -> Region:
     order: dict[Fraction, set[int]] = {}
     for i, f in fracs.items():
         order.setdefault(f, set()).add(i)
-    blocks = tuple(frozenset(order[f]) for f in sorted(order))
-    zero_first = bool(blocks) and Fraction(0) in order
-    return Region(bound, tuple(int_part), blocks, zero_first)
+    zero = frozenset(order.pop(Fraction(0), ()))
+    return Region(bound, tuple(int_part), zero,
+                  tuple(frozenset(order[f]) for f in sorted(order)))
 
 
 def region_equivalent(x: Sequence[Fraction], y: Sequence[Fraction], bound: int) -> bool:
@@ -231,47 +215,23 @@ def singleton_region(values: Sequence[int], bound: int) -> Region:
 def barycentric_coordinates(region: Region, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Coordinates of a closure point w.r.t. the region's vertices (their order).
 
-    Solves sum(l_v * v) = point, sum(l_v) = 1 exactly; the vertices of a region
-    are affinely independent so the solution is unique.
+    The unique l with sum(l_v * v) = point and sum(l_v) = 1, read off the
+    staircase: a point of the affine hull is the integer parts plus one offset
+    per positive block (0 on the zero-fraction clocks), and with block 0 at
+    offset 0 and block d+1 at offset 1, vertex k's coordinate is
+    offset[d-k+1] - offset[d-k].
     """
-    verts = region.vertices()
-    n = region.clock_count
-    k = len(verts)
-    # rows: one per clock plus the normalization row
-    rows = [[Fraction(verts[j][i]) for j in range(k)] + [Fraction(point[i])]
-            for i in range(n)]
-    rows.append([Fraction(1)] * k + [Fraction(1)])
-    sol = _solve_exact(rows, k)
-    if sol is None:
+    d = len(region.vertices()) - 1  # raises for an unbounded region
+    offsets = [Fraction(0)]
+    for block in region.positive_blocks:
+        offset = {Fraction(point[c]) - region.int_part[c] for c in block}
+        if len(offset) != 1:
+            raise ValueError("point is not in the affine hull of the region's vertices")
+        offsets.append(offset.pop())
+    offsets.append(Fraction(1))
+    if any(point[c] != region.int_part[c] for c in region.zero_fraction):
         raise ValueError("point is not in the affine hull of the region's vertices")
-    if any(c < 0 for c in sol):
+    coords = tuple(offsets[d - k + 1] - offsets[d - k] for k in range(d + 1))
+    if any(c < 0 for c in coords):
         raise ValueError("point is not in the closure of the region")
-    return tuple(sol)
-
-
-def _solve_exact(rows: list[list[Fraction]], unknowns: int) -> Optional[list[Fraction]]:
-    m = [row[:] for row in rows]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(unknowns):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][-1] != 0:
-            return None  # inconsistent
-    if len(pivots) < unknowns:
-        return None  # underdetermined; cannot happen for simplex vertices
-    sol = [Fraction(0)] * unknowns
-    for row, col in pivots:
-        sol[col] = m[row][-1]
-    return sol
+    return coords

@@ -41,7 +41,11 @@ class RegionSplitAutomaton(TimedAutomaton):
         return r.contains(clocks)
 
     def location_vertices(self, loc: str):
-        return self.regions[loc].vertices()
+        try:
+            return self.regions[loc].vertices()
+        except ValueError:
+            raise TAError(f"location {loc!r} starts in a region with a clock above "
+                          "the bound; orbits need bounded regions") from None
 
 
 def region_pins(clocks: tuple[str, ...], region: Region) -> Guard:
@@ -403,9 +407,8 @@ def _parse_region_expr(expr: str, clocks: tuple[str, ...]
             raise ValueError
     except ValueError:
         raise TAError("region expression does not totally order the fractional parts")
-    frac_blocks = ((frozenset(zero),) if zero else ()) + tuple(ordered)
     int_part = tuple(None if i in above else ints.get(i, 0) for i in range(len(clocks)))
-    return Region(bound, int_part, frac_blocks, bool(zero)), above_literal
+    return Region(bound, int_part, frozenset(zero), tuple(ordered)), above_literal
 
 
 def attach_starting_regions(ta: TimedAutomaton, lines: dict[str, str]) -> RegionSplitAutomaton:
@@ -419,7 +422,7 @@ def attach_starting_regions(ta: TimedAutomaton, lines: dict[str, str]) -> Region
             if k != bound:
                 raise TAError(f"{c}>{k} in the starting line of {loc!r} is below the "
                               f"max constant {bound}; write {c}>M for a clock above it")
-    regions = {loc: Region(bound, r.int_part, r.frac_blocks, r.zero_first)
+    regions = {loc: Region(bound, r.int_part, r.zero_fraction, r.positive_blocks)
                for loc, (r, _) in parsed.items()}
     rsta = RegionSplitAutomaton(
         ta.name, ta.clocks, ta.alphabet, ta.locations, ta.edges,

@@ -21,7 +21,7 @@ from conftest import grid_points_in_closure, random_paths
 from tempoclass.bandwidth import bandwidth_curve, enumerate_words, fit_class
 from tempoclass.classify import (classify, is_structurally_meager,
                                  is_structurally_obese, saturate)
-from tempoclass.corpus import NAMES, automaton
+from tempoclass.corpus import FIT_EPS, FIT_PLAN, NAMES, automaton
 from tempoclass.dbm import Dbm, canonicalize, language_class, project, \
     path_timing_dbm, project_raw
 from tempoclass.orbits import (FAST, NARROW, WIDE, lyapunov_values, orbit_compose,
@@ -362,21 +362,12 @@ def test_criterion_6_capacity_laws():
 # -- criterion 7: empirical class fits ------------------------------------------------
 
 
-EPS_SCHEDULE = [F(1, 2), F(1, 4), F(1, 8), F(1, 16)]
-FIT_PLAN = {
-    "a1": ([F(3, 16), F(3, 8), F(3, 4), F(3, 2)], 100_000),
-    "a5": ([F(40)], 100_000),
-    "a4": ([F(10)], 500_000),
-    "a6": ([F(2), F(4), F(6)], 140_000),
-}
-
-
 @pytest.fixture(scope="module")
 def fitted():
     out = {}
     t0 = time.monotonic()
     for name, (durations, cap) in FIT_PLAN.items():
-        rows = bandwidth_curve(automaton(name), durations, EPS_SCHEDULE, cap=cap)
+        rows = bandwidth_curve(automaton(name), durations, FIT_EPS, cap=cap)
         out[name] = (rows, fit_class(rows))
     out["elapsed"] = time.monotonic() - t0
     return out

@@ -92,11 +92,20 @@ def test_orbit_command(capsys, corpus_dir):
 
 
 def test_orbit_dot_output(capsys, corpus_dir, tmp_path):
+    """The DOT file draws the report's first cyclic orbit."""
+    from tempoclass.orbits import export_dot, path_orbit
+    from tempoclass.splitting import region_split
+    from tempoclass.corpus import automaton
+
     dot = tmp_path / "orbit.dot"
-    code, _, _ = run(capsys, "orbit", str(corpus_dir / "a6.ta"),
-                     "--path", "d1,d2", "--kind", "f", "--dot", str(dot))
+    code, out, _ = run(capsys, "--json", "orbit", str(corpus_dir / "a6.ta"),
+                       "--path", "d1,d2", "--kind", "f", "--dot", str(dot))
     assert code == 0
-    assert dot.read_text().startswith("digraph")
+    cyclic = [d["path"] for d in json.loads(out)["result"]["orbits"] if d["cyclic"]]
+    assert cyclic == [["d1.3", "d2.1"]]
+    rs = region_split(automaton("a6"))
+    orbit = path_orbit(rs, [rs.edge_named(n) for n in cyclic[0]], "f")
+    assert dot.read_text() == export_dot(orbit, rs)
 
 
 def test_orbit_unknown_path(capsys, corpus_dir):
@@ -215,6 +224,18 @@ location q initial x=2 accepting
 starting q x>1
 """
 
+# parses, validates and regionizes, but p's region has no vertices
+STARTING_ABOVE_BOUND = """automaton s
+clocks x y
+alphabet a
+location q initial accepting
+location p accepting
+starting q ⌊x⌋=0, frac(x)=0, ⌊y⌋=0, frac(y)=0
+starting p ⌊x⌋=0, frac(x)=0, y>M
+edge q -> p on a guard y > 2 reset x
+edge p -> p on a guard x < 1
+"""
+
 STARTING_MISSES_INITIAL = """automaton s
 clocks x
 alphabet a
@@ -299,6 +320,17 @@ starting q ⌊x⌋=0
     pytest.param({}, {"s.ta": STARTING_ABOVE_LITERAL_LOW}, ["validate", "s.ta"],
                  "x>1 in the starting line of 'q' is below the max constant 2; "
                  "write x>M", id="starting-above-literal-below-bound"),
+    pytest.param({}, {"s.ta": STARTING_ABOVE_BOUND}, ["classify", "s.ta"],
+                 "location 'p' starts in a region with a clock above the bound",
+                 id="starting-above-bound-classify"),
+    pytest.param({}, {"s.ta": STARTING_ABOVE_BOUND},
+                 ["classify", "s.ta", "--mode", "savitch"],
+                 "location 'p' starts in a region with a clock above the bound",
+                 id="starting-above-bound-classify-savitch"),
+    pytest.param({}, {"s.ta": STARTING_ABOVE_BOUND},
+                 ["orbit", "s.ta", "--path", "d1,d2", "--kind", "f"],
+                 "location 'p' starts in a region with a clock above the bound",
+                 id="starting-above-bound-orbit"),
     pytest.param({}, {"big.ta": BIG_CONSTANT}, ["--json", "classify", "big.ta"],
                  "region splitting exceeded the cap of 1000000",
                  id="region-split-over-cap"),
@@ -321,6 +353,13 @@ def test_bad_input_exits_with_message(capsys, corpus_dir, monkeypatch, env,
     assert code == 10
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert message in err
+
+
+def test_starting_region_above_bound_is_read_without_vertices(capsys, tmp_path):
+    """Commands that need no vertices accept a clock above the bound."""
+    (tmp_path / "s.ta").write_text(STARTING_ABOVE_BOUND)
+    for argv in (["validate"], ["regionize"], ["bandwidth", "--T", "1", "--eps", "1/2"]):
+        assert run(capsys, argv[0], str(tmp_path / "s.ta"), *argv[1:])[0] == 0
 
 
 def test_starting_region_defaults_integer_part_to_zero():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import grid_points_in_closure
 from tempoclass.corpus import NAMES, automaton
 from tempoclass.regions import (barycentric_coordinates, region_equivalent,
                                 region_of, singleton_region, time_successor_chain)
@@ -78,6 +79,46 @@ def test_barycentric_positive_in_interior(rng):
         bary = barycentric_coordinates(r, r.representative())
         assert sum(bary) == 1
         assert all(b > 0 for b in bary)
+
+
+def _random_bounded_region(rng, bound_max=3):
+    bound = rng.randrange(1, bound_max + 1)
+    n = rng.randrange(1, 4)
+    return region_of(tuple(F(rng.randrange(0, bound * 8), 8) for _ in range(n)), bound)
+
+
+def test_barycentric_at_vertex_i_is_the_ith_unit_vector(rng):
+    for _ in range(300):
+        r = _random_bounded_region(rng)
+        verts = r.vertices()
+        assert list(verts) == sorted(verts)
+        for i, v in enumerate(verts):
+            bary = barycentric_coordinates(r, tuple(F(c) for c in v))
+            assert bary == tuple(F(int(j == i)) for j in range(len(verts)))
+
+
+def test_barycentric_recombines_closure_points(rng):
+    for _ in range(40):
+        r = _random_bounded_region(rng, bound_max=2)
+        verts = r.vertices()
+        points = grid_points_in_closure(r, F(1, 4))
+        for point in rng.sample(points, min(len(points), 20)):
+            bary = barycentric_coordinates(r, point)
+            assert sum(bary) == 1
+            assert tuple(sum(b * v[i] for b, v in zip(bary, verts))
+                         for i in range(r.clock_count)) == point
+
+
+def test_barycentric_tells_off_hull_from_outside_closure():
+    r = region_of((F(1, 2), F(1, 4), F(0)), 2)           # frac(z) = 0 < frac(y) < frac(x)
+    with pytest.raises(ValueError, match="not in the affine hull"):
+        barycentric_coordinates(r, (F(1, 2), F(1, 4), F(1, 8)))   # frac(z) > 0
+    with pytest.raises(ValueError, match="not in the affine hull"):
+        barycentric_coordinates(region_of((F(1, 2), F(1, 2)), 2), (F(1, 2), F(1, 4)))
+    with pytest.raises(ValueError, match="not in the closure"):
+        barycentric_coordinates(r, (F(1, 4), F(1, 2), F(0)))      # frac(y) > frac(x)
+    with pytest.raises(ValueError, match="not in the closure"):
+        barycentric_coordinates(r, (F(3, 2), F(1, 4), F(0)))      # x past its vertices
 
 
 def test_chain_from_origin():
