@@ -35,7 +35,8 @@ from typing import Optional
 
 from .orbits import (FAST, INSTANT, SLOW, WIDE, Matrix, OrbitElement,
                      matrix_product, orbit_one)
-from .splitting import DEFAULT_CAP, RegionSplitAutomaton, region_split
+from .splitting import (DEFAULT_CAP, RegionSplitAutomaton, check_exact_edges,
+                        region_split)
 from .ta import TAError, TimedAutomaton
 
 
@@ -95,9 +96,9 @@ def _intern_edges(a: RegionSplitAutomaton, kind: str):
     loc_ids: dict[str, int] = {}
     mat_ids: dict[Matrix, int] = {}
     edges = []
-    for e, eo in zip(a.edges, a.edge_orbits[kind]):
+    for name, eo in a.edge_orbits[kind].items():
         if not eo.is_zero:
-            edges.append((e.name, loc_ids.setdefault(eo.src, len(loc_ids)),
+            edges.append((name, loc_ids.setdefault(eo.src, len(loc_ids)),
                           mat_ids.setdefault(eo.matrix, len(mat_ids)),
                           loc_ids.setdefault(eo.dst, len(loc_ids))))
     return loc_ids, mat_ids, edges
@@ -419,7 +420,11 @@ def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Ve
     """Region-split, run both structural checks, attach the fatness verdict.
     `cap` bounds region splitting as well as each orbit monoid."""
     t0 = time.monotonic()
-    rsta = a if isinstance(a, RegionSplitAutomaton) else region_split(a, cap)
+    if isinstance(a, RegionSplitAutomaton):
+        check_exact_edges(a)
+        rsta = a
+    else:
+        rsta = region_split(a, cap)
     reaches = {k: _reach(rsta, k, cap, mode) for k in ("f", "d")}
     if not rsta.locations:
         # empty language: no cycles at all

@@ -223,20 +223,20 @@ def _orbits(automaton, path, src: str, dst: str) -> dict[str, OrbitElement]:
             for kind in KINDS}
 
 
-EdgeOrbitTable = dict[str, tuple[OrbitElement, ...]]
+EdgeOrbitTable = dict[str, dict[str, OrbitElement]]
 
 
 def edge_orbit_table(automaton) -> EdgeOrbitTable:
-    """Orbit of every edge in every kind, aligned with `automaton.edges`;
-    a fresh table on every call (`RegionSplitAutomaton.edge_orbits` keeps
-    one)."""
-    per_edge = [_orbits(automaton, [e], e.src, e.dst) for e in automaton.edges]
-    return {kind: tuple(orbits[kind] for orbits in per_edge) for kind in KINDS}
+    """Orbit of every edge in every kind, keyed by kind and then by edge name
+    in `automaton.edges` order; a fresh table on every call
+    (`RegionSplitAutomaton.edge_orbits` keeps one)."""
+    per_edge = [(e.name, _orbits(automaton, [e], e.src, e.dst)) for e in automaton.edges]
+    return {kind: {name: orbits[kind] for name, orbits in per_edge} for kind in KINDS}
 
 
 def edge_orbit(automaton, edge, kind: str) -> OrbitElement:
-    """Orbit of one region-split edge, entries from vertex-to-vertex languages."""
-    return _orbits(automaton, [edge], edge.src, edge.dst)[kind]
+    """Orbit of one region-split edge, read from `automaton.edge_orbits`."""
+    return automaton.edge_orbits[kind][edge.name]
 
 
 def path_orbit(automaton, path, kind: str) -> OrbitElement:

@@ -27,9 +27,9 @@ class RegionSplitAutomaton(TimedAutomaton):
 
     @property
     def edge_orbits(self) -> EdgeOrbitTable:
-        """Orbit of every edge in every kind, aligned with `edges`; built on
-        first use and kept for the automaton's lifetime.  Two threads racing
-        on the first read each build an equal table, and one is kept."""
+        """Orbit of every edge in every kind by edge name, in `edges` order;
+        built on first use and kept for the automaton's lifetime.  Two threads
+        racing on the first read each build an equal table, and one is kept."""
         if self._edge_orbits is None:
             self._edge_orbits = edge_orbit_table(self)
         return self._edge_orbits
@@ -245,6 +245,27 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
         regions={names[k]: k[2] for k in kept_keys})
 
 
+def check_exact_edges(a: RegionSplitAutomaton) -> None:
+    """Raise `TAError` naming the first edge that is not exact: an edge must
+    fire from exactly one region of its source region's time-successor chain,
+    and that region with the edge's resets applied must be the target's
+    region.  The edges' end locations are read for vertices first, so a
+    region with a clock above the bound is reported as such."""
+    for e in a.edges:
+        a.location_vertices(e.src)
+        a.location_vertices(e.dst)
+    clocks = list(a.clocks)
+    for e in a.edges:
+        fired = [r for r in time_successor_chain(a.regions[e.src])
+                 if _guard_on(r, e.guard.atoms, clocks)]
+        if len(fired) != 1:
+            raise TAError(f"edge {e.name} is not exact: it fires from {len(fired)} "
+                          "regions of its source region's time-successor chain")
+        if fired[0].reset(a.clock_index(c) for c in e.resets) != a.regions[e.dst]:
+            raise TAError(f"edge {e.name} is not exact: its firing region with its "
+                          "resets applied is not its target's region")
+
+
 # -- closed successors / predecessors -------------------------------------------
 
 
@@ -257,32 +278,31 @@ def _face_region(vertex_set, bound: int) -> Region:
 
 def closed_successor(a: RegionSplitAutomaton, region: Region, edge: Edge) -> Region:
     """Successor of a region closure through the closed edge, as a region whose
-    closure is exactly the successor set."""
-    from .dbm import language_class
-    src_r = a.regions[edge.src]
-    if not set(region.vertices()) <= set(src_r.vertices()):
-        raise TAError("region is not included in the closure of the edge's source region")
-    dst_r = a.regions[edge.dst]
-    hit = {v2 for v2 in dst_r.vertices()
-           if any(not language_class(a, [edge], v1, v2).empty
-                  for v1 in region.vertices())}
-    if not hit:
-        raise TAError("empty successor; region-split edges are never vacuous")
-    return _face_region(hit, dst_r.bound)
+    closure is exactly the successor set, read off the edge's p orbit's rows."""
+    return _closed_image(a, region, edge, forward=True)
 
 
 def closed_predecessor(a: RegionSplitAutomaton, region: Region, edge: Edge) -> Region:
-    from .dbm import language_class
-    dst_r = a.regions[edge.dst]
-    if not set(region.vertices()) <= set(dst_r.vertices()):
-        raise TAError("region is not included in the closure of the edge's target region")
-    src_r = a.regions[edge.src]
-    hit = {v1 for v1 in src_r.vertices()
-           if any(not language_class(a, [edge], v1, v2).empty
-                  for v2 in region.vertices())}
+    """Predecessor of a region closure, read off the p orbit's columns."""
+    return _closed_image(a, region, edge, forward=False)
+
+
+def _closed_image(a: RegionSplitAutomaton, region: Region, edge: Edge,
+                  forward: bool) -> Region:
+    here, there = (edge.src, edge.dst) if forward else (edge.dst, edge.src)
+    picked = set(region.vertices())
+    if not picked <= set(a.regions[here].vertices()):
+        raise TAError("region is not included in the closure of the edge's "
+                      + ("source" if forward else "target") + " region")
+    orbit = a.edge_orbits["p"][edge.name]
+    rows = (() if orbit.is_zero else orbit.matrix if forward
+            else tuple(zip(*orbit.matrix)))
+    hit = {w for v, row in zip(a.regions[here].vertices(), rows) if v in picked
+           for w, reached in zip(a.regions[there].vertices(), row) if reached}
     if not hit:
-        raise TAError("empty predecessor; region-split edges are never vacuous")
-    return _face_region(hit, src_r.bound)
+        raise TAError(f"empty {'successor' if forward else 'predecessor'}; "
+                      "region-split edges are never vacuous")
+    return _face_region(hit, a.regions[there].bound)
 
 
 # -- region expressions (serialization) ------------------------------------------

@@ -189,6 +189,11 @@ class TimedAutomaton:
         for q in list(self.initial) + list(self.accepting):
             if q not in locs:
                 raise TAError(f"constraint on undeclared location {q!r}")
+        for q, g in self.accepting.items():
+            for a in g.atoms:
+                if a.clock not in self._index:
+                    raise TAError(f"accepting guard of {q!r} uses undeclared clock "
+                                  f"{a.clock!r}")
 
     @property
     def max_constant(self) -> int:

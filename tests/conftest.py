@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from tempoclass.corpus import NAMES, automaton
+from tempoclass.regions import region_of
 from tempoclass.splitting import region_split
-from tempoclass.ta import ClockConstraint, Edge, Guard, TimedAutomaton
+from tempoclass.ta import (ClockConstraint, Edge, Guard, TimedAutomaton,
+                           check_deterministic)
 
 
 # one clock whose constant makes a time-successor chain of ~2 * 10^11 regions
@@ -59,9 +61,41 @@ def split_corpus(corpus):
     return {name: region_split(a) for name, a in corpus.items()}
 
 
+@pytest.fixture(scope="module")
+def a6_rs():
+    return region_split(automaton("a6"))
+
+
 @pytest.fixture()
 def rng():
     return random.Random(20240811)
+
+
+def main_cycle_edges(rs):
+    """The two edges of a6's main cycle, between the regions of (1/2, 0) and
+    (0, 1/2)."""
+    main_q = region_of((Fraction(1, 2), Fraction(0)), 2)
+    main_p = region_of((Fraction(0), Fraction(1, 2)), 2)
+    d1 = next(e for e in rs.edges if rs.regions[e.src] == main_q
+              and rs.regions[e.dst] == main_p)
+    d2 = next(e for e in rs.edges if rs.regions[e.src] == main_p
+              and rs.regions[e.dst] == main_q)
+    return d1, d2
+
+
+def short_cycles(rs, max_len):
+    """Every cycle of at most `max_len` region-split edges, from each location."""
+    out = []
+    for start in rs.locations:
+        stack = [[e] for e in rs.edges_from(start)]
+        while stack:
+            path = stack.pop()
+            if path[-1].dst == start:
+                out.append(path)
+                continue
+            if len(path) < max_len:
+                stack.extend(path + [e] for e in rs.edges_from(path[-1].dst))
+    return out
 
 
 def random_paths(rsta, rng, count: int, max_len: int = 6):
@@ -123,3 +157,14 @@ def random_automaton(rng: random.Random) -> TimedAutomaton:
     return TimedAutomaton("rand", clocks, letters, locations, tuple(edges),
                           {locations[0]: tuple(Fraction(0) for _ in clocks)},
                           accepting)
+
+
+def deterministic_draws(seed: int, count: int) -> list[TimedAutomaton]:
+    """The first `count` deterministic `random_automaton` draws of the seed."""
+    rng = random.Random(seed)
+    drawn = []
+    while len(drawn) < count:
+        a = random_automaton(rng)
+        if check_deterministic(a).deterministic:
+            drawn.append(a)
+    return drawn

@@ -17,7 +17,8 @@ from itertools import product
 
 import pytest
 
-from conftest import grid_points_in_closure, random_paths
+from conftest import (grid_points_in_closure, main_cycle_edges, random_paths,
+                      short_cycles)
 from tempoclass.bandwidth import bandwidth_curve, enumerate_words, fit_class
 from tempoclass.classify import (classify, is_structurally_meager,
                                  is_structurally_obese, saturate)
@@ -27,7 +28,6 @@ from tempoclass.dbm import Dbm, canonicalize, language_class, project, \
 from tempoclass.orbits import (FAST, NARROW, WIDE, lyapunov_values, orbit_compose,
                                path_orbit, path_orbit_direct, scc_decomposition,
                                semiring_add, semiring_mul, semiring_values)
-from tempoclass.regions import region_of
 from tempoclass.splitting import closed_predecessor, closed_successor
 from tempoclass.ta import State, step
 from tempoclass.words import (distance, directed_distance, exact_capacity,
@@ -74,19 +74,9 @@ def test_criterion_1_golden_classification(split_corpus):
 # -- criterion 2: displayed orbit matrices -------------------------------------------
 
 
-def _main_edges(rs):
-    main_q = region_of((F(1, 2), F(0)), 2)
-    main_p = region_of((F(0), F(1, 2)), 2)
-    d1 = next(e for e in rs.edges if rs.regions[e.src] == main_q
-              and rs.regions[e.dst] == main_p)
-    d2 = next(e for e in rs.edges if rs.regions[e.src] == main_p
-              and rs.regions[e.dst] == main_q)
-    return d1, d2
-
-
 def test_criterion_2_orbit_matrices(split_corpus):
     rs = split_corpus["a6"]
-    d1, d2 = _main_edges(rs)
+    d1, d2 = main_cycle_edges(rs)
     assert path_orbit(rs, [d1], "p").matrix == ((1, 1), (1, 0))
     assert path_orbit(rs, [d2], "p").matrix == ((0, 1), (1, 1))
     assert path_orbit(rs, [d1, d2], "p").matrix == ((1, 1), (0, 1))
@@ -287,7 +277,7 @@ def test_criterion_5_dbm_suite(split_corpus):
     checked = 0
     for name in ("a4", "a6", "a7", "a10"):
         rs = split_corpus[name]
-        for path in _short_cycles(rs, 4)[:8]:
+        for path in short_cycles(rs, 4)[:8]:
             src_r, dst_r = rs.regions[path[0].src], rs.regions[path[-1].dst]
             x0, y0 = src_r.representative(), dst_r.representative()
             base = canonicalize(path_timing_dbm(rs, path, x0, y0))
@@ -320,20 +310,6 @@ def _second_point(region):
     total = sum(weights)
     return tuple(sum(w * F(v[c]) for w, v in zip(weights, verts)) / total
                  for c in range(region.clock_count))
-
-
-def _short_cycles(rs, max_len):
-    out = []
-    for start in rs.locations:
-        stack = [[e] for e in rs.edges_from(start)]
-        while stack:
-            path = stack.pop()
-            if path[-1].dst == start:
-                out.append(path)
-                continue
-            if len(path) < max_len:
-                stack.extend(path + [e] for e in rs.edges_from(path[-1].dst))
-    return out
 
 
 # -- criterion 6: capacity laws -------------------------------------------------------

@@ -1,5 +1,4 @@
 import importlib
-import random
 from collections import deque
 from fractions import Fraction as F
 
@@ -16,11 +15,10 @@ from tempoclass.orbits import (FAST, INSTANT, KINDS, SLOW, WIDE, OrbitElement,
                                path_orbit, path_orbit_direct, semiring_add,
                                semiring_mul)
 from tempoclass.regions import region_of
-from conftest import BIG_CONSTANT, MANY_CHAINS, OPEN_TICKER, random_automaton
+from conftest import BIG_CONSTANT, MANY_CHAINS, OPEN_TICKER, deterministic_draws
 from tempoclass.splitting import DEFAULT_CAP, RegionSplitCapExceeded, region_split
 from tempoclass.ta import (ClockConstraint, Edge, Guard, TimedAutomaton,
-                           check_deterministic, parse_automaton,
-                           serialize_automaton)
+                           parse_automaton, serialize_automaton)
 
 
 def test_saturate_contains_a6_cycle_orbits(split_corpus):
@@ -108,7 +106,7 @@ def _reference_levels(rs, kind, cap=DEFAULT_CAP):
     squaring: every ordered pair of the level in every round, with the cap
     checked after each product."""
     level = {orbit_one(kind)}
-    level.update(eo for eo in edge_orbit_table(rs)[kind] if not eo.is_zero)
+    level.update(eo for eo in edge_orbit_table(rs)[kind].values() if not eo.is_zero)
     yield level
     while True:
         nxt = set(level)
@@ -141,7 +139,7 @@ def test_level_sets_match_naive_squaring(split_corpus, name):
     """Semi-naive rounds build the level set of naive squaring at every
     depth up to the fixpoint, and a cap stops both in the same round."""
     if name == "draws":
-        subjects = [region_split(a) for a in _deterministic_draws(13, 120)]
+        subjects = [region_split(a) for a in deterministic_draws(13, 120)]
     elif name == "fam_3_2":
         subjects = [region_split(parse_automaton(FAM_3_2))]
     else:
@@ -217,7 +215,7 @@ def test_level_sets_compute_each_row_product_once(split_corpus, monkeypatch,
 def test_saturate_matches_all_edge_reference(split_corpus, name):
     """The same elements, in the same order, with the same witnesses."""
     if name == "draws":
-        subjects = [region_split(a) for a in _deterministic_draws(13, 300)]
+        subjects = [region_split(a) for a in deterministic_draws(13, 300)]
     elif name.startswith("fam_"):
         subjects = [region_split(parse_automaton(fam(int(name[4]), 2)))]
     else:
@@ -235,7 +233,7 @@ def test_compose_matches_reference_product(split_corpus, name):
           else split_corpus[name])
     for kind in KINDS:
         elements = list(saturate(rs, kind))
-        for eo in edge_orbit_table(rs)[kind]:
+        for eo in edge_orbit_table(rs)[kind].values():
             for x in elements:
                 assert orbit_compose(x, eo) == _reference_product(x, eo), \
                     (kind, x, eo)
@@ -257,7 +255,7 @@ def test_orbit_element_value_semantics(split_corpus):
                 assert len({x: 1, other: 2}) == 1
             assert hash(x) == hash((x.kind, x.tag, x.src, x.matrix, x.dst))
             assert x != (x.kind, x.tag, x.src, x.matrix, x.dst)
-        for eo in rs.edge_orbits[kind]:
+        for eo in rs.edge_orbits[kind].values():
             if eo.is_zero:
                 continue
             assert orbit_compose(orbit_one(kind), eo) is eo
@@ -331,7 +329,7 @@ def test_saturation_computes_each_product_once(monkeypatch):
     rs = region_split(parse_automaton(fam(6, 2)))
     reach = saturate(rs, "f")
     out: dict[str, list] = {}
-    for e, eo in zip(rs.edges, rs.edge_orbits["f"]):
+    for e, eo in zip(rs.edges, rs.edge_orbits["f"].values()):
         if not eo.is_zero:
             out.setdefault(e.src, []).append(eo.matrix)
     elements = [x for x in reach if x.tag == "elem"]
@@ -505,20 +503,10 @@ def test_savitch_mode_agrees(name):
     assert v1.fatness == v2.fatness
 
 
-def _deterministic_draws(seed: int, count: int):
-    rng = random.Random(seed)
-    drawn = []
-    while len(drawn) < count:
-        a = random_automaton(rng)
-        if check_deterministic(a).deterministic:
-            drawn.append(a)
-    return drawn
-
-
 def test_modes_agree_on_random_automata():
     """savitch decides all three verdicts from its own level sets, so it
     checks bfs on thickness too; every bfs thick witness replays."""
-    for a in _deterministic_draws(7, 300):
+    for a in deterministic_draws(7, 300):
         bfs = classify(a)
         assert _verdict(a, "savitch") == (bfs.classification, bfs.obesity_type,
                                           bfs.fatness), serialize_automaton(a)
@@ -534,7 +522,7 @@ def _meager_on_graphs(rs) -> bool:
     one edge word: then an SCC of the pair graph, whose nodes are two
     vertices on one location and whose steps move both along one edge, holds
     a diagonal and an off-diagonal pair."""
-    edges = [e for e in rs.edge_orbits["f"] if not e.is_zero]
+    edges = [e for e in rs.edge_orbits["f"].values() if not e.is_zero]
     size = {q: len(rs.location_vertices(q)) for q in rs.locations}
     steps = {(q, i): [] for q in rs.locations for i in range(size[q])}
     wide = []
@@ -566,7 +554,7 @@ def test_meagerness_oracle_on_graphs(split_corpus):
     subjects = [*split_corpus.values(),
                 *(region_split(parse_automaton(fam(k, 2))) for k in range(2, 7)),
                 region_split(parse_automaton(RING3)),
-                *(region_split(a) for a in _deterministic_draws(7, 4000))]
+                *(region_split(a) for a in deterministic_draws(7, 4000))]
     counts = {True: 0, False: 0}
     for rs in subjects:
         meager = is_structurally_meager(rs).meager
@@ -579,7 +567,7 @@ def test_reachability_monoid_is_smallest(split_corpus):
     """p is a monoid image of f and of d, so `monoidSize` never needs it."""
     subjects = [*split_corpus.values(),
                 *(region_split(parse_automaton(fam(k, 2))) for k in (2, 3, 4)),
-                *(region_split(a) for a in _deterministic_draws(11, 300))]
+                *(region_split(a) for a in deterministic_draws(11, 300))]
     for rs in subjects:
         sizes = {kind: len(saturate(rs, kind)) for kind in KINDS}
         assert sizes["p"] <= min(sizes["f"], sizes["d"]), sizes
@@ -687,7 +675,7 @@ def test_witnesses_in_verdicts_replay(split_corpus):
 
 
 def test_mutual_exclusion_on_random_automata():
-    for a in _deterministic_draws(7, 200):
+    for a in deterministic_draws(7, 200):
         rs = region_split(a)
         if not rs.locations:
             continue
@@ -776,7 +764,7 @@ def test_verdicts_invariant_under_metamorphic_changes():
     """Renaming, unreachable or dead additions, reversing the edge list and
     the two textual round trips leave class, obesity type and fatness
     unchanged."""
-    subjects = [automaton(name) for name in NAMES] + _deterministic_draws(29, 300)
+    subjects = [automaton(name) for name in NAMES] + deterministic_draws(29, 300)
     for a in subjects:
         expected = _verdict(a)
         regionized = parse_automaton(serialize_automaton(region_split(a)))

@@ -236,6 +236,22 @@ edge q -> p on a guard y > 2 reset x
 edge p -> p on a guard x < 1
 """
 
+# one region for q, but the edge fires from x = 0 and from 0 < x < 1
+STARTING_INEXACT = """automaton s
+clocks x
+alphabet a
+location q initial accepting
+starting q ⌊x⌋=0, frac(x)=0
+edge q -> q on a guard x < 1 reset x
+"""
+
+ACCEPTING_UNKNOWN_CLOCK = """automaton s
+clocks y
+alphabet a
+location q initial accepting x > 0
+edge q -> q on a
+"""
+
 STARTING_MISSES_INITIAL = """automaton s
 clocks x
 alphabet a
@@ -331,6 +347,19 @@ starting q ⌊x⌋=0
                  ["orbit", "s.ta", "--path", "d1,d2", "--kind", "f"],
                  "location 'p' starts in a region with a clock above the bound",
                  id="starting-above-bound-orbit"),
+    pytest.param({}, {"s.ta": STARTING_INEXACT}, ["classify", "s.ta"],
+                 "edge d1 is not exact", id="starting-inexact-edge-classify"),
+    pytest.param({}, {"s.ta": STARTING_INEXACT},
+                 ["classify", "s.ta", "--mode", "savitch"],
+                 "edge d1 is not exact", id="starting-inexact-edge-classify-savitch"),
+    pytest.param({}, {"s.ta": STARTING_INEXACT}, ["orbit", "s.ta", "--path", "d1"],
+                 "edge d1 is not exact", id="starting-inexact-edge-orbit"),
+    pytest.param({}, {"s.ta": ACCEPTING_UNKNOWN_CLOCK}, ["validate", "s.ta"],
+                 "accepting guard of 'q' uses undeclared clock 'x'",
+                 id="accepting-unknown-clock-validate"),
+    pytest.param({}, {"s.ta": ACCEPTING_UNKNOWN_CLOCK}, ["classify", "s.ta"],
+                 "accepting guard of 'q' uses undeclared clock 'x'",
+                 id="accepting-unknown-clock-classify"),
     pytest.param({}, {"big.ta": BIG_CONSTANT}, ["--json", "classify", "big.ta"],
                  "region splitting exceeded the cap of 1000000",
                  id="region-split-over-cap"),
@@ -360,6 +389,21 @@ def test_starting_region_above_bound_is_read_without_vertices(capsys, tmp_path):
     (tmp_path / "s.ta").write_text(STARTING_ABOVE_BOUND)
     for argv in (["validate"], ["regionize"], ["bandwidth", "--T", "1", "--eps", "1/2"]):
         assert run(capsys, argv[0], str(tmp_path / "s.ta"), *argv[1:])[0] == 0
+
+
+def test_regionized_inexact_edge_is_split_exact(capsys, tmp_path):
+    """Without its starting line the inexact automaton regionizes into two
+    exact edges, which classify and orbit then accept."""
+    plain = "".join(line + "\n" for line in STARTING_INEXACT.splitlines()
+                    if not line.startswith("starting"))
+    (tmp_path / "s.ta").write_text(plain)
+    rs_file = str(tmp_path / "rs.ta")
+    assert run(capsys, "regionize", str(tmp_path / "s.ta"), "--out", rs_file)[0] == 0
+    rs = parse_automaton((tmp_path / "rs.ta").read_text())
+    assert len(rs.edges) == 2
+    assert run(capsys, "classify", rs_file)[0] == 2
+    assert run(capsys, "classify", rs_file, "--mode", "savitch")[0] == 2
+    assert run(capsys, "orbit", rs_file, "--path", "d1,d2")[0] == 0
 
 
 def test_starting_region_defaults_integer_part_to_zero():

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_paths
+from conftest import main_cycle_edges, random_paths, short_cycles
 from tempoclass.corpus import NAMES, automaton
 from tempoclass.dbm import (Dbm, Interval, canonicalize, language_class,
                             path_timing_dbm, project, project_raw)
@@ -155,32 +155,15 @@ def test_projection_examples():
 # -- path-timing DBMs ------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def a6_rs():
-    return region_split(automaton("a6"))
-
-
-def _main_edges(rs):
-    from tempoclass.regions import region_of
-
-    main_q = region_of((F(1, 2), F(0)), 2)
-    main_p = region_of((F(0), F(1, 2)), 2)
-    d1 = next(e for e in rs.edges if rs.regions[e.src] == main_q
-              and rs.regions[e.dst] == main_p)
-    d2 = next(e for e in rs.edges if rs.regions[e.src] == main_p
-              and rs.regions[e.dst] == main_q)
-    return d1, d2
-
-
 def test_path_timing_singleton(a6_rs):
-    d1, _ = _main_edges(a6_rs)
+    d1, _ = main_cycle_edges(a6_rs)
     d = canonicalize(path_timing_dbm(a6_rs, [d1], (F(0), F(0)), (F(0), F(1))))
     assert d is not None
     assert project(d, 1) == Interval(F(1), F(1))
 
 
 def test_path_timing_empty(a6_rs):
-    d1, _ = _main_edges(a6_rs)
+    d1, _ = main_cycle_edges(a6_rs)
     d = canonicalize(path_timing_dbm(a6_rs, [d1], (F(1), F(0)), (F(0), F(1))))
     assert d is None
 
@@ -193,7 +176,7 @@ def test_path_timing_empty_path(a6_rs):
 
 
 def test_language_class_examples(a6_rs):
-    d1, d2 = _main_edges(a6_rs)
+    d1, d2 = main_cycle_edges(a6_rs)
     lc = language_class(a6_rs, [d1], (0, 0), (0, 0))
     assert lc.kind == "singleton" and lc.duration.lo == 0
     lc = language_class(a6_rs, [d1, d2], (0, 0), (1, 0))
@@ -206,7 +189,7 @@ def test_language_class_examples(a6_rs):
 def test_parametric_form(a6_rs):
     """Middle entries are integers untouched by endpoint values; border entries
     shift with the endpoints."""
-    d1, d2 = _main_edges(a6_rs)
+    d1, d2 = main_cycle_edges(a6_rs)
     path = [d1, d2, d1]
     x0, y0 = (F(1, 2), F(0)), (F(0), F(1, 2))
     x1, y1 = (F(1, 4), F(0)), (F(0), F(3, 4))
@@ -225,7 +208,7 @@ def test_lipschitz_stability_of_projections():
     projection endpoint by less than 3*eps."""
     for name in ("a6", "a7", "a4"):
         rs = region_split(automaton(name))
-        cycles = _short_cycles(rs, max_len=4)
+        cycles = short_cycles(rs, max_len=4)
         for path in cycles[:6]:
             src_r = rs.regions[path[0].src]
             dst_r = rs.regions[path[-1].dst]
@@ -256,20 +239,6 @@ def _nudge(region, point, delta):
     # fall back to a convex slide toward the representative, always interior
     slide = tuple(p + (r - p) * min(delta, F(1, 2)) for p, r in zip(point, rep))
     return slide if not region.contains(candidate) else candidate
-
-
-def _short_cycles(rs, max_len):
-    out = []
-    for start in rs.locations:
-        stack = [[e] for e in rs.edges_from(start)]
-        while stack:
-            path = stack.pop()
-            if path[-1].dst == start:
-                out.append(path)
-                continue
-            if len(path) < max_len:
-                stack.extend(path + [e] for e in rs.edges_from(path[-1].dst))
-    return out
 
 
 def test_dump_format():

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import grid_points_in_closure, random_paths
+from conftest import grid_points_in_closure, main_cycle_edges, random_paths
 from tempoclass.corpus import NAMES, automaton
 from tempoclass.dbm import language_class
 from tempoclass.orbits import (FAST, INSTANT, KINDS, NARROW, SLOW, WIDE,
@@ -40,32 +40,18 @@ def test_semiring_axioms_exhaustive(kind):
         assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
-@pytest.fixture(scope="module")
-def a6_rs():
-    return region_split(automaton("a6"))
-
-
-def main_cycle_edges(rs):
-    main_q = region_of((F(1, 2), F(0)), 2)
-    main_p = region_of((F(0), F(1, 2)), 2)
-    d1 = next(e for e in rs.edges if rs.regions[e.src] == main_q
-              and rs.regions[e.dst] == main_p)
-    d2 = next(e for e in rs.edges if rs.regions[e.src] == main_p
-              and rs.regions[e.dst] == main_q)
-    return d1, d2
-
-
 @pytest.mark.parametrize("name", NAMES)
 def test_edge_orbit_table_aligns_with_one_kind_views(split_corpus, name):
-    """Alignment and consistency: one tuple per kind, in `rs.edges` order, equal
-    to the one-kind views.  All three share `_orbits`, so this is no oracle for
-    the orbits themselves; the a6 examples and the random-path tests are."""
+    """Alignment and consistency: one dict per kind, keyed by edge name in
+    `rs.edges` order, equal to the one-kind views.  All three share `_orbits`,
+    so this is no oracle for the orbits themselves; the a6 examples and the
+    random-path tests are."""
     rs = split_corpus[name]
     table = edge_orbit_table(rs)
     assert set(table) == set(KINDS)
     for kind in KINDS:
-        assert len(table[kind]) == len(rs.edges)
-        for e, eo in zip(rs.edges, table[kind]):
+        assert list(table[kind]) == [e.name for e in rs.edges]
+        for e, eo in zip(rs.edges, table[kind].values()):
             assert eo == edge_orbit(rs, e, kind) == path_orbit_direct(rs, [e], kind)
 
 

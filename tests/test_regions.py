@@ -1,16 +1,19 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
-from conftest import grid_points_in_closure
+from conftest import deterministic_draws, grid_points_in_closure
 from tempoclass.corpus import NAMES, automaton
+from tempoclass.dbm import language_class
 from tempoclass.regions import (barycentric_coordinates, region_equivalent,
                                 region_of, singleton_region, time_successor_chain)
-from tempoclass.splitting import (_guard_on, closed_predecessor, closed_successor,
-                                  region_split)
+from tempoclass.splitting import (_guard_on, check_exact_edges, closed_predecessor,
+                                  closed_successor, region_split)
 from tempoclass.ta import (RELATIONS, ClockConstraint, Guard, TAError,
-                           check_deterministic, parse_automaton)
+                           check_deterministic, parse_automaton, serialize_automaton)
 
 
 def test_region_of_origin():
@@ -261,6 +264,59 @@ def test_closed_successor_examples(split_corpus):
     assert closed_successor(rs, singleton_region((1, 0), 2), d1) \
         == singleton_region((0, 0), 2)
     assert closed_predecessor(rs, rs.regions[d1.dst], d1) == rs.regions[d1.src]
+
+
+def _mean_region(vertices, bound: int):
+    vs = list(vertices)
+    return region_of(tuple(F(sum(col), len(vs)) for col in zip(*vs)), bound)
+
+
+def _faces(region):
+    """The vertex sets of the region's closure faces: every nonempty subset."""
+    vs = region.vertices()
+    return [s for k in range(1, len(vs) + 1) for s in combinations(vs, k)]
+
+
+def test_closed_successor_and_predecessor_match_languages_on_faces(split_corpus):
+    """Face oracle.  On the face spanned by a vertex set S of an edge's source
+    region, the closed successor is the region of the mean of the target
+    vertices w with a nonempty language from some v in S; the closed
+    predecessor of a target face is the same read backwards."""
+    subjects = [*split_corpus.values(), *map(region_split, deterministic_draws(19, 300))]
+    faces = 0
+    for rs in subjects:
+        for e in rs.edges:
+            src, dst = rs.regions[e.src], rs.regions[e.dst]
+            live = {(v, w) for v in src.vertices() for w in dst.vertices()
+                    if not language_class(rs, [e], v, w).empty}
+            for s in _faces(src):
+                hit = {w for v, w in live if v in s}
+                assert closed_successor(rs, _mean_region(s, src.bound), e) \
+                    == _mean_region(hit, dst.bound), (e.name, s)
+            for s in _faces(dst):
+                hit = {v for v, w in live if w in s}
+                assert closed_predecessor(rs, _mean_region(s, dst.bound), e) \
+                    == _mean_region(hit, src.bound), (e.name, s)
+            faces += len(_faces(src)) + len(_faces(dst))
+    assert faces > 3000
+
+
+def test_region_split_edges_are_exact(split_corpus):
+    """Every edge `region_split` builds passes `check_exact_edges`, before
+    and after a serialize and parse round trip."""
+    for rs in [*split_corpus.values(), *map(region_split, deterministic_draws(19, 300))]:
+        check_exact_edges(rs)
+        if rs.locations:
+            check_exact_edges(parse_automaton(serialize_automaton(rs)))
+
+
+def test_check_exact_edges_names_the_edge():
+    rs = region_split(automaton("a6"))
+    e = rs.edges[0]
+    wrong = next(q for q in rs.locations if rs.regions[q] != rs.regions[e.dst])
+    bad = replace(rs, edges=(replace(e, dst=wrong), *rs.edges[1:]))
+    with pytest.raises(TAError, match=f"edge {e.name} is not exact: its firing region"):
+        check_exact_edges(bad)
 
 
 def test_closed_successor_precondition():
