@@ -3,22 +3,27 @@
 An automaton is meager when no cyclic freedom orbit carries a wide diagonal
 entry, obese when some cyclic duration orbit carries a fast diagonal entry
 (type I) or an instant/instant/slow triangle whose return edge is realizable
-by another cycle on the same region (type II), and normal otherwise.  Each
-pattern is scanned once, over a map from orbit element to witness.  Two modes
-build that map: `bfs` saturates the orbit monoid breadth-first and keeps a
-shortest witness per element; `savitch` squares level sets as in the log-space
-reachability recursion, in semi-naive rounds that compose only the elements
-new in the previous round with the level, and keeps no witnesses.  It is the
-independent oracle: the same pattern predicates, the same verdicts, no
-witnesses.  Both searches run on interned locations and matrices, and
-multiply matrices with `matrix_product`, with one row memo per right-factor
-matrix that lives for one call.
+by another cycle on the same region (type II), and normal otherwise.  Two modes
+build the orbit monoids that the patterns are scanned over: `bfs` saturates
+a monoid breadth-first and keeps a shortest witness per element; `savitch`
+squares level sets as in the log-space reachability recursion, in semi-naive
+rounds that compose only the elements new in the previous round with the
+level, and keeps no witnesses.  Both searches run on interned locations and
+matrices, and multiply matrices with `matrix_product`, with one row memo per
+right-factor matrix that lives for one call.
 
-Only the freedom (f) and duration (d) monoids are built.  No semiring here
-has zero divisors, so a path's reachability orbit is the support of its f
-orbit and of its d orbit: the type-II return check reads reachability off d,
-and thickness reads completeness off f.  The reachability monoid is a monoid
-image of f, so it is never larger than f and `monoidSize` needs it neither.
+In `bfs` mode, `classify` builds only the duration (d) monoid and scans it
+for both obesity types.  No semiring here has zero divisors, so a path's
+reachability orbit is the support of its freedom (f) orbit and of its d
+orbit: the type-II return check and thickness on two or more vertices read
+it off d.  Meagerness is decided on graphs (`_wide_vertices`), and the wide
+f entries that the meager witness and thickness on one vertex need are found
+by a breadth-first search over rows of f orbits (`_least_wide_cycle`), which
+reports the least paths that a scan of the breadth-first f monoid would.
+`savitch` builds its own f and d level sets and scans them for every
+pattern, so it is the independent oracle for all three verdicts.  The
+reachability monoid is a monoid image of d, so it is never larger than d,
+and `monoidSize` is the size of d.
 
 The region-split automaton builds the edge orbits of every kind once, from
 one language class per edge and vertex pair, and keeps them: every check
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .orbits import (FAST, INSTANT, SLOW, WIDE, Matrix, OrbitElement,
-                     matrix_product, orbit_one)
+                     _row_times, _tarjan, matrix_product, orbit_one)
 from .splitting import (DEFAULT_CAP, RegionSplitAutomaton, check_exact_edges,
                         region_split)
 from .ta import TAError, TimedAutomaton
@@ -55,8 +60,9 @@ def saturation_cap(flag_value: Optional[int] = None) -> int:
 
 
 class SaturationCapExceeded(TAError):
-    def __init__(self, cap: int, partial):
-        super().__init__(f"orbit saturation exceeded the cap of {cap} elements")
+    def __init__(self, cap: int, partial, what: str = "orbit saturation",
+                 unit: str = "elements"):
+        super().__init__(f"{what} exceeded the cap of {cap} {unit}")
         self.cap = cap
         self.partial = partial
 
@@ -292,7 +298,13 @@ def _witnesses(*found: tuple) -> tuple[PatternWitness, ...]:
 
 def is_structurally_meager(a: RegionSplitAutomaton, mode: str = "bfs",
                            reach=None) -> MeagerReport:
-    """No cyclic freedom orbit may carry wide on its diagonal."""
+    """No cyclic freedom orbit may carry wide on its diagonal.
+
+    Given a freedom monoid `reach`, or in `savitch` mode, its cyclic elements
+    are scanned.  Otherwise the verdict is read off graphs, and the witness
+    comes from the row search, as in `classify`."""
+    if reach is None and mode == "bfs":
+        return _meager_on_graphs(a, _wide_vertices(a), DEFAULT_CAP)
     if reach is None:
         reach = _reach(a, "f", DEFAULT_CAP, mode)
     for elem, wit in reach.items():
@@ -301,6 +313,148 @@ def is_structurally_meager(a: RegionSplitAutomaton, mode: str = "bfs",
                 if v == WIDE:
                     return MeagerReport(False, *_witnesses((wit, (i, i), "f")))
     return MeagerReport(True, None)
+
+
+def _meager_on_graphs(a: RegionSplitAutomaton, wide: set[tuple[str, int]],
+                      cap: int) -> MeagerReport:
+    """Meager iff no vertex is wide; the witness is the least wide cycle."""
+    if not wide:
+        return MeagerReport(True, None)
+    cycle, i = _least_wide_cycle(a, wide, cap)
+    return MeagerReport(False, PatternWitness(cycle, (i, i), "f"))
+
+
+def _wide_vertices(a: RegionSplitAutomaton) -> set[tuple[str, int]]:
+    """The (location q, vertex i) pairs such that some cycle at q has a wide
+    (i, i) entry in its freedom orbit, decided without a monoid.
+
+    The vertex graph has the (location, vertex) pairs as nodes and the
+    nonzero entries of the edges' f orbits as steps.  Entry (i, i) of a
+    cycle's f orbit is wide iff a closed walk from (q, i) along the cycle
+    takes a wide step, or two distinct walks from (q, i) back to it follow
+    the cycle (Weber & Seidl's ambiguity criterion).  Some cycle has the
+    first iff (q, i) shares an SCC with a wide step, and the second iff
+    (q, i, i) shares an SCC of the pair graph, whose nodes are two vertices
+    on one location and whose steps move both along one edge, with an
+    off-diagonal pair."""
+    edges = [e for e in a.edge_orbits["f"].values() if not e.is_zero]
+    size = {}
+    for e in edges:
+        size[e.src], size[e.dst] = len(e.matrix), len(e.matrix[0])
+    steps = {(q, i): [] for q in size for i in range(size[q])}
+    wide_steps = []
+    for e in edges:
+        for i, row in enumerate(e.matrix):
+            for j, val in enumerate(row):
+                if val:
+                    steps[e.src, i].append((e.dst, j))
+                    if val == WIDE:
+                        wide_steps.append(((e.src, i), (e.dst, j)))
+    wide: set[tuple[str, int]] = set()
+    scc_of = {v: comp for comp in _tarjan(steps) for v in comp}
+    for u, v in wide_steps:
+        if scc_of[u] is scc_of[v]:
+            wide |= scc_of[u]
+    # a cycle of the pair graph moves each vertex within its SCC, so only
+    # such steps are kept, and it leaves the diagonal only where a vertex
+    # has two such steps along one edge; every node a step reaches is a key
+    sccs_at = {q: {id(scc_of[q, i]) for i in range(size[q])} for q in size}
+    inner = [(e, [[k for k, x in enumerate(row)
+                   if x and scc_of[e.dst, k] is scc_of[e.src, i]]
+                  for i, row in enumerate(e.matrix)])
+             for e in edges if sccs_at[e.src] & sccs_at[e.dst]]
+    if all(len(ks) < 2 for _, rows in inner for ks in rows):
+        return wide
+    pair_steps: dict[tuple[str, int, int], list] = {}
+    for e, rows in inner:
+        for i, ks in enumerate(rows):
+            for j, ls in enumerate(rows):
+                if ks and ls:
+                    pair_steps.setdefault((e.src, i, j), []).extend(
+                        (e.dst, k, l) for k in ks for l in ls)
+    for targets in list(pair_steps.values()):
+        for node in targets:
+            pair_steps.setdefault(node, [])
+    for comp in _tarjan(pair_steps):
+        if any(i != j for _, i, j in comp):
+            wide.update((q, i) for q, i, j in comp if i == j)
+    return wide
+
+
+def _least_wide_cycle(a: RegionSplitAutomaton, starts: set[tuple[str, int]],
+                      cap: int, max_len: Optional[int] = None
+                      ) -> Optional[tuple[tuple[str, ...], int]]:
+    """The least path, by length and then by edge order, that leaves a
+    location s, comes back to s and has a wide (i, i) entry in its f orbit
+    for some (s, i) in `starts`, with the least such i; None when there is
+    none of at most `max_len` edges.
+
+    A breadth-first saturation of f reports this path, because its witness
+    for each element is the least path with that element.  The search runs
+    over states (s, i, q, row i of the path's f orbit), one level per path
+    length, and keeps each level grouped by path: the groups in path order,
+    and in each group the states in order of i.  A group extends by the
+    out-edges of its location in `a.edges` order, so the states are made in
+    order of (path, i), and the first state that is made with q == s and a
+    wide entry i is the answer.  A state made before is dropped: its earlier
+    path is lesser and has the same extensions.  Each new state counts
+    against `cap`.
+    """
+    loc_ids, mat_ids, edges = _intern_edges(a, "f")
+    matrices, k = list(mat_ids), len(mat_ids)
+    out_edges: list[list[tuple[str, int, int]]] = [[] for _ in loc_ids]
+    for name, src, mat, dst in edges:
+        out_edges[src].append((name, mat, dst))
+    rows: list[tuple[int, ...]] = []
+    row_ids: dict[tuple[int, ...], int] = {}
+    unit_rows: dict[int, list[tuple[int, int]]] = {}
+    for q, i in sorted(starts):
+        unit = tuple(int(j == i) for j in range(len(a.location_vertices(q))))
+        rid = row_ids.setdefault(unit, len(row_ids))
+        if rid == len(rows):
+            rows.append(unit)
+        unit_rows.setdefault(loc_ids[q], []).append((i, rid))
+    # a group is (path, s, steps, [(i, row id)]) and extends by its steps;
+    # before the first level, the empty path at s is one group per out-edge
+    # of s, in edge order, so that the paths of one edge are in order
+    level = [((), src, [(name, mat, dst)], unit_rows[src])
+             for name, src, mat, dst in edges if src in unit_rows]
+    products: dict[int, int] = {}
+    seen: dict[tuple[int, int, int, int], None] = {}
+    length = 0
+    while level and (max_len is None or length < max_len):
+        length += 1
+        nxt = []
+        for path, s, steps, group in level:
+            for name, mat, dst in steps:
+                child = []
+                for i, rid in group:
+                    prod = products.get(rid * k + mat)
+                    if prod is None:
+                        row = _row_times("f", rows[rid], matrices[mat])
+                        prod = row_ids.setdefault(row, len(row_ids)) if any(row) else -1
+                        if prod == len(rows):
+                            rows.append(row)
+                        products[rid * k + mat] = prod
+                    if prod < 0:
+                        continue
+                    state = (s, i, dst, prod)
+                    if state in seen:
+                        continue
+                    seen[state] = None
+                    if len(seen) > cap:
+                        names = list(loc_ids)
+                        raise SaturationCapExceeded(
+                            cap, [(names[src], j, names[here], rows[r])
+                                  for src, j, here, r in seen],
+                            "f row search", "states")
+                    if dst == s and rows[prod][i] == WIDE:
+                        return path + (name,), i
+                    child.append((i, prod))
+                if child:
+                    nxt.append((path + (name,), s, out_edges[dst], child))
+        level = nxt
+    return None
 
 
 def is_structurally_obese(a: RegionSplitAutomaton, mode: str = "bfs",
@@ -351,20 +505,47 @@ def _doubling_depth(cap: int) -> int:
 def is_thick(a: RegionSplitAutomaton, reach=None) -> ThickReport:
     """Thick iff some cycle's reachability orbit is the complete graph.
 
-    `reach` is the freedom monoid, whose support is the reachability orbit,
-    so a cyclic element with no zero entry is complete.  On a single vertex
-    it only counts when the cycle admits several runs (the entry is wide);
-    with two or more vertices completeness already forces wide self-loops in
-    the squared cycle.  A monoid of another kind is replaced by the
-    breadth-first freedom monoid.
+    A cyclic orbit with no zero entry is complete.  On a single vertex it
+    only counts when the cycle admits several runs (the freedom entry is
+    wide); with two or more vertices completeness already forces wide
+    self-loops in the squared cycle.  Given a freedom monoid `reach`, its
+    cyclic elements are scanned.  Otherwise the support of `reach`, a
+    breadth-first p or d monoid, or of the duration monoid decides two or
+    more vertices, and the row search decides one vertex.
     """
-    if reach is None or next(iter(reach)).kind != "f":
-        reach = saturate(a, "f")
-    for elem, wit in reach.items():
-        if (elem.cyclic and all(v != 0 for row in elem.matrix for v in row)
-                and (len(elem.matrix) > 1 or elem.entry(0, 0) == WIDE)):
-            return ThickReport(True, *_witnesses((wit, (0, 0), "p")))
-    return ThickReport(False, None)
+    if reach is not None and next(iter(reach)).kind == "f":
+        for elem, wit in reach.items():
+            if (elem.cyclic and all(v != 0 for row in elem.matrix for v in row)
+                    and (len(elem.matrix) > 1 or elem.entry(0, 0) == WIDE)):
+                return ThickReport(True, *_witnesses((wit, (0, 0), "p")))
+        return ThickReport(False, None)
+    if reach is None:
+        reach = saturate(a, "d")
+    return _thick_on_support(a, reach, _wide_vertices(a), DEFAULT_CAP)
+
+
+def _thick_on_support(a: RegionSplitAutomaton, reach,
+                      wide: set[tuple[str, int]], cap: int) -> ThickReport:
+    """Thickness from the first complete cyclic element of `reach` on two or
+    more vertices and the least wide cycle at a single-vertex location, no
+    longer than that element's witness; the witness is the lesser cycle, by
+    length and then by edge order."""
+    complete = next((elem for elem in reach
+                     if elem.cyclic and len(elem.matrix) > 1
+                     and all(v != 0 for row in elem.matrix for v in row)), None)
+    cycle = None if complete is None else reach[complete]
+    if complete is not None and cycle is None:
+        return ThickReport(True, None)       # savitch level sets keep no witnesses
+    single = {(q, i) for q, i in wide if len(a.location_vertices(q)) == 1}
+    if single:
+        hit = _least_wide_cycle(a, single, cap, None if cycle is None else len(cycle))
+        order = {e.name: k for k, e in enumerate(a.edges)}
+        if hit and (cycle is None or (len(hit[0]), [order[n] for n in hit[0]])
+                    < (len(cycle), [order[n] for n in cycle])):
+            cycle = hit[0]
+    if cycle is None:
+        return ThickReport(False, None)
+    return ThickReport(True, PatternWitness(cycle, (0, 0), "p"))
 
 
 def guards_bounded_nonpunctual(a: TimedAutomaton) -> bool:
@@ -418,25 +599,32 @@ class ClassificationError(TAError):
 
 def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Verdict:
     """Region-split, run both structural checks, attach the fatness verdict.
-    `cap` bounds region splitting as well as each orbit monoid."""
+    `cap` bounds region splitting as well as each orbit monoid and the row
+    search."""
     t0 = time.monotonic()
     if isinstance(a, RegionSplitAutomaton):
         check_exact_edges(a)
         rsta = a
     else:
         rsta = region_split(a, cap)
-    reaches = {k: _reach(rsta, k, cap, mode) for k in ("f", "d")}
+    reach_d = _reach(rsta, "d", cap, mode)
     if not rsta.locations:
         # empty language: no cycles at all
         return Verdict("meager", None, "thin", guards_bounded_nonpunctual(a), (), {
             "locations": 0, "regions": 0, "monoidSize": 0, "witnessMaxLen": 0,
             "wallTimeMs": int((time.monotonic() - t0) * 1000)})
-    meager = is_structurally_meager(rsta, reach=reaches["f"])
-    obese = is_structurally_obese(rsta, reach_d=reaches["d"])
+    if mode == "bfs":
+        wide = _wide_vertices(rsta)
+        meager = _meager_on_graphs(rsta, wide, cap)
+        thick = _thick_on_support(rsta, reach_d, wide, cap)
+    else:
+        reach_f = _reach(rsta, "f", cap, mode)
+        meager = is_structurally_meager(rsta, reach=reach_f)
+        thick = is_thick(rsta, reach=reach_f)
+    obese = is_structurally_obese(rsta, reach_d=reach_d)
     if meager.meager and obese.obese:
         raise ClassificationError(
             "structural meagerness and obesity both hold; this cannot happen")
-    thick = is_thick(rsta, reach=reaches["f"])
     witnesses: list[PatternWitness] = []
     if meager.witness:
         witnesses.append(meager.witness)
@@ -452,7 +640,7 @@ def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Ve
     stats = {
         "locations": len(rsta.locations),
         "regions": len(set(rsta.regions.values())),
-        "monoidSize": max(map(len, reaches.values())) if mode == "bfs" else None,
+        "monoidSize": len(reach_d) if mode == "bfs" else None,
         "witnessMaxLen": max((len(w.cycle) for w in witnesses), default=0),
         "wallTimeMs": int((time.monotonic() - t0) * 1000),
     }

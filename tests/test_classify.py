@@ -4,13 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from tempoclass.classify import (SaturationCapExceeded, _level_sets, classify,
-                                 guards_bounded_nonpunctual,
+from tempoclass.classify import (SaturationCapExceeded, _least_wide_cycle,
+                                 _level_sets, _wide_vertices,
+                                 classify, guards_bounded_nonpunctual,
                                  is_structurally_meager, is_structurally_obese,
                                  is_thick, saturate)
 from tempoclass.corpus import NAMES, automaton, fam
 from tempoclass.orbits import (FAST, INSTANT, KINDS, SLOW, WIDE, OrbitElement,
-                               _tarjan, edge_orbit, edge_orbit_table, orbit_compose,
+                               edge_orbit, edge_orbit_table, orbit_compose,
                                orbit_element, orbit_one, orbit_zero,
                                path_orbit, path_orbit_direct, semiring_add,
                                semiring_mul)
@@ -355,6 +356,19 @@ edge p -> r on b guard y > 1, y < 2 reset y
 edge r -> q on c guard z < 2, x < 1 reset z
 """
 
+RING3_Y2 = """\
+automaton ring3_y2
+clocks x y z
+alphabet a b c
+location q initial
+location p accepting
+location r accepting
+edge q -> p on a guard x < 2 reset x
+edge p -> r on b guard y < 2 reset y
+edge r -> q on c guard z < 1 reset z
+"""
+
+
 def test_region_split_cap(monkeypatch):
     splitting = importlib.import_module("tempoclass.splitting")
     real = splitting.time_successor_chain
@@ -514,53 +528,66 @@ def test_modes_agree_on_random_automata():
             _assert_thick_witness(region_split(a), bfs.witnesses[-1])
 
 
-def _meager_on_graphs(rs) -> bool:
-    """Meagerness without a monoid.  The vertex graph has the (location,
-    vertex) pairs as nodes and the nonzero entries of the edges' f orbits as
-    steps.  Some cycle's f orbit is wide on its diagonal iff a closed walk
-    takes a wide step, or two distinct walks from a vertex back to it follow
-    one edge word: then an SCC of the pair graph, whose nodes are two
-    vertices on one location and whose steps move both along one edge, holds
-    a diagonal and an off-diagonal pair."""
-    edges = [e for e in rs.edge_orbits["f"].values() if not e.is_zero]
-    size = {q: len(rs.location_vertices(q)) for q in rs.locations}
-    steps = {(q, i): [] for q in rs.locations for i in range(size[q])}
-    wide = []
-    for e in edges:
-        for i, row in enumerate(e.matrix):
-            for j, val in enumerate(row):
-                if val:
-                    steps[e.src, i].append((e.dst, j))
-                    if val == WIDE:
-                        wide.append(((e.src, i), (e.dst, j)))
-    scc_of = {v: k for k, comp in enumerate(_tarjan(steps)) for v in comp}
-    if any(scc_of[u] == scc_of[v] for u, v in wide):
-        return False
-    pair_steps = {(q, i, j): [] for q in rs.locations
-                  for i in range(size[q]) for j in range(size[q])}
-    for e in edges:
-        for i, row_i in enumerate(e.matrix):
-            for j, row_j in enumerate(e.matrix):
-                pair_steps[e.src, i, j] += [
-                    (e.dst, k, l) for k, a in enumerate(row_i) if a
-                    for l, b in enumerate(row_j) if b]
-    return not any({i == j for _, i, j in comp} == {True, False}
-                   for comp in _tarjan(pair_steps))
-
-
 def test_meagerness_oracle_on_graphs(split_corpus):
-    """The graph criterion agrees with the f-monoid scan; both verdicts occur
-    often among the subjects."""
+    """The graph criterion of bfs mode agrees with a scan of the f monoid;
+    both verdicts occur often among the subjects."""
     subjects = [*split_corpus.values(),
                 *(region_split(parse_automaton(fam(k, 2))) for k in range(2, 7)),
                 region_split(parse_automaton(RING3)),
                 *(region_split(a) for a in deterministic_draws(7, 4000))]
     counts = {True: 0, False: 0}
     for rs in subjects:
-        meager = is_structurally_meager(rs).meager
-        assert _meager_on_graphs(rs) == meager, serialize_automaton(rs)
+        meager = is_structurally_meager(rs, reach=saturate(rs, "f")).meager
+        assert is_structurally_meager(rs).meager == meager, serialize_automaton(rs)
         counts[meager] += 1
     assert min(counts.values()) > len(subjects) // 10, counts
+
+
+def test_classify_witnesses_match_freedom_scan():
+    """bfs `classify` builds no f monoid, yet its meager and thick verdicts
+    and witnesses are those of a scan of the breadth-first f monoid."""
+    subjects = [*(automaton(name) for name in NAMES),
+                *(parse_automaton(fam(k, 2)) for k in range(2, 7)),
+                parse_automaton(RING3), parse_automaton(RING3_Y2),
+                *deterministic_draws(23, 2500)]
+    counts = {"not meager": 0, "thick": 0}
+    for a in subjects:
+        rs = region_split(a)
+        v = classify(rs)
+        reach = saturate(rs, "f")
+        meager = is_structurally_meager(rs, reach=reach)
+        thick = is_thick(rs, reach=reach)
+        assert (v.classification == "meager") == meager.meager, serialize_automaton(a)
+        assert (v.fatness == "thick") == thick.thick, serialize_automaton(a)
+        if not meager.meager:
+            assert v.witnesses[0] == meager.witness, serialize_automaton(a)
+            counts["not meager"] += 1
+        if thick.thick:
+            assert v.witnesses[-1] == thick.witness, serialize_automaton(a)
+            counts["thick"] += 1
+    assert min(counts.values()) > len(subjects) // 10, counts
+
+
+def test_fam_2_3_classifies_without_the_freedom_monoid():
+    """f has 510,347 elements here, d 30,938."""
+    v = classify(parse_automaton(fam(2, 3)))
+    assert (v.classification, v.obesity_type, v.fatness) == ("obese", "I", "thick")
+    assert v.stats["monoidSize"] == 30_938
+
+
+def test_row_search_cap():
+    """Each new state of the row search counts against the cap, and the
+    error carries the states made so far."""
+    rs = region_split(parse_automaton(RING3))
+    wide = _wide_vertices(rs)
+    cycle, i = _least_wide_cycle(rs, wide, DEFAULT_CAP)
+    assert path_orbit(rs, [rs.edge_named(n) for n in cycle], "f").entry(i, i) == WIDE
+    with pytest.raises(SaturationCapExceeded, match="f row search exceeded the "
+                       "cap of 2 states") as exc:
+        _least_wide_cycle(rs, wide, 2)
+    assert len(exc.value.partial) == 3
+    for s, i, q, row in exc.value.partial:
+        assert (s, i) in wide and len(row) == len(rs.location_vertices(q))
 
 
 def test_reachability_monoid_is_smallest(split_corpus):
@@ -583,11 +610,12 @@ def test_classify_builds_no_reachability_monoid(monkeypatch, mode):
             return _real(a, kind, *args)
 
         monkeypatch.setattr(classify_module, fn, counting)
-    builder = "saturate" if mode == "bfs" else "_level_sets"
+    expected = ([("saturate", "d")] if mode == "bfs"
+                else [("_level_sets", "d"), ("_level_sets", "f")])
     for name in NAMES:
         built.clear()
         classify(automaton(name), mode=mode)
-        assert sorted(built) == [(builder, "d"), (builder, "f")], name
+        assert sorted(built) == expected, name
 
 
 @pytest.mark.parametrize("mode", ["BFS", "savitchh", ""])
@@ -616,7 +644,7 @@ def test_thickness(split_corpus):
     rs = split_corpus["a1"]
     rep = is_thick(rs)
     _assert_thick_witness(rs, rep.witness)
-    # a monoid of another kind is replaced by the freedom monoid
+    # the support of a reachability monoid decides as that of the duration monoid
     assert is_thick(rs, reach=saturate(rs, "p")) == rep
 
 
