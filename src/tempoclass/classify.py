@@ -8,9 +8,11 @@ build the orbit monoids that the patterns are scanned over: `bfs` saturates
 a monoid breadth-first and keeps a shortest witness per element; `savitch`
 squares level sets as in the log-space reachability recursion, in semi-naive
 rounds that compose only the elements new in the previous round with the
-level, and keeps no witnesses.  Both searches run on interned locations and
-matrices, and multiply matrices with `matrix_product`, with one row memo per
-right-factor matrix that lives for one call.
+level, and keeps no witnesses; the rounds run until one adds no element or
+the level exceeds the cap, with no bound on their number.  Both searches run
+on interned locations and matrices, and multiply matrices with
+`matrix_product`, with one row memo per right-factor matrix that lives for
+one call.
 
 In `bfs` mode, `classify` builds only the duration (d) monoid and scans it
 for both obesity types.  No semiring here has zero divisors, so a path's
@@ -40,8 +42,7 @@ from typing import Optional
 
 from .orbits import (FAST, INSTANT, SLOW, WIDE, Matrix, OrbitElement,
                      _row_times, _tarjan, matrix_product, orbit_one)
-from .splitting import (DEFAULT_CAP, RegionSplitAutomaton, check_exact_edges,
-                        region_split)
+from .splitting import DEFAULT_CAP, RegionSplitAutomaton, as_region_split
 from .ta import TAError, TimedAutomaton
 
 
@@ -283,11 +284,15 @@ def _reach(a: RegionSplitAutomaton, kind: str, cap: int, mode: str
            ) -> dict[OrbitElement, Optional[tuple[str, ...]]]:
     """Every path orbit of the kind, mapped to a shortest witness (`bfs`) or to
     None (`savitch`)."""
+    _check_mode(mode)
     if mode == "bfs":
         return saturate(a, kind, cap)
-    if mode == "savitch":
-        return dict.fromkeys(_level_sets(a, kind, _doubling_depth(cap), cap))
-    raise ValueError(f"unknown mode {mode!r}; expected 'bfs' or 'savitch'")
+    return dict.fromkeys(_level_sets(a, kind, cap, cap))
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("bfs", "savitch"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'bfs' or 'savitch'")
 
 
 def _witnesses(*found: tuple) -> tuple[PatternWitness, ...]:
@@ -495,13 +500,6 @@ def _type2_positions(elem: OrbitElement) -> list[tuple[int, int]]:
     return out
 
 
-def _doubling_depth(cap: int) -> int:
-    h = 0
-    while (1 << h) < cap:
-        h += 1
-    return min(h, 32)
-
-
 def is_thick(a: RegionSplitAutomaton, reach=None) -> ThickReport:
     """Thick iff some cycle's reachability orbit is the complete graph.
 
@@ -509,9 +507,10 @@ def is_thick(a: RegionSplitAutomaton, reach=None) -> ThickReport:
     only counts when the cycle admits several runs (the freedom entry is
     wide); with two or more vertices completeness already forces wide
     self-loops in the squared cycle.  Given a freedom monoid `reach`, its
-    cyclic elements are scanned.  Otherwise the support of `reach`, a
-    breadth-first p or d monoid, or of the duration monoid decides two or
-    more vertices, and the row search decides one vertex.
+    cyclic elements are scanned.  Otherwise the support of `reach`, which
+    must be a breadth-first p or d monoid with its witnesses, or of the
+    duration monoid decides two or more vertices, and the row search decides
+    one vertex.
     """
     if reach is not None and next(iter(reach)).kind == "f":
         for elem, wit in reach.items():
@@ -534,8 +533,6 @@ def _thick_on_support(a: RegionSplitAutomaton, reach,
                      if elem.cyclic and len(elem.matrix) > 1
                      and all(v != 0 for row in elem.matrix for v in row)), None)
     cycle = None if complete is None else reach[complete]
-    if complete is not None and cycle is None:
-        return ThickReport(True, None)       # savitch level sets keep no witnesses
     single = {(q, i) for q, i in wide if len(a.location_vertices(q)) == 1}
     if single:
         hit = _least_wide_cycle(a, single, cap, None if cycle is None else len(cycle))
@@ -602,17 +599,14 @@ def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Ve
     `cap` bounds region splitting as well as each orbit monoid and the row
     search."""
     t0 = time.monotonic()
-    if isinstance(a, RegionSplitAutomaton):
-        check_exact_edges(a)
-        rsta = a
-    else:
-        rsta = region_split(a, cap)
-    reach_d = _reach(rsta, "d", cap, mode)
+    rsta = as_region_split(a, cap)
+    _check_mode(mode)
     if not rsta.locations:
         # empty language: no cycles at all
         return Verdict("meager", None, "thin", guards_bounded_nonpunctual(a), (), {
             "locations": 0, "regions": 0, "monoidSize": 0, "witnessMaxLen": 0,
             "wallTimeMs": int((time.monotonic() - t0) * 1000)})
+    reach_d = _reach(rsta, "d", cap, mode)
     if mode == "bfs":
         wide = _wide_vertices(rsta)
         meager = _meager_on_graphs(rsta, wide, cap)

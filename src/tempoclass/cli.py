@@ -20,7 +20,7 @@ from . import bandwidth as bw
 from . import words as wd
 from .classify import classify, saturation_cap
 from .orbits import export_dot, orbit_to_json, path_orbit
-from .splitting import RegionSplitAutomaton, check_exact_edges, region_split
+from .splitting import RegionSplitAutomaton, as_region_split, region_split
 from .ta import TAError, ParseError, check_deterministic, parse_automaton, \
     serialize_automaton
 
@@ -149,11 +149,7 @@ def cmd_regionize(args) -> int:
 
 def cmd_orbit(args) -> int:
     a, digest = _load_automaton(args.file)
-    if isinstance(a, RegionSplitAutomaton):
-        check_exact_edges(a)
-        rsta = a
-    else:
-        rsta = region_split(a)
+    rsta = as_region_split(a)
     wanted = [p for p in args.path.split(",") if p]
     if not wanted:
         raise UsageError("--path needs at least one edge name")

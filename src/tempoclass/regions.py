@@ -205,10 +205,6 @@ def time_successor_chain(region: Region) -> list[Region]:
         cur = nxt
 
 
-def singleton_region(values: Sequence[int], bound: int) -> Region:
-    return region_of(tuple(Fraction(v) for v in values), bound)
-
-
 # -- barycentric coordinates ---------------------------------------------------
 
 

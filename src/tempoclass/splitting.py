@@ -266,6 +266,16 @@ def check_exact_edges(a: RegionSplitAutomaton) -> None:
                           "resets applied is not its target's region")
 
 
+def as_region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutomaton:
+    """The region-split form of `a`: a parsed split (a file with `starting`
+    lines) is returned once `check_exact_edges` accepts it, any other
+    automaton is split with `region_split(a, cap)`."""
+    if isinstance(a, RegionSplitAutomaton):
+        check_exact_edges(a)
+        return a
+    return region_split(a, cap)
+
+
 # -- closed successors / predecessors -------------------------------------------
 
 

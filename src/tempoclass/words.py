@@ -8,6 +8,7 @@ exactly in rationals; infinity is the explicit float sentinel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -151,19 +152,14 @@ def exact_min_net(words: Sequence[TimedWord], eps: Fraction) -> list[TimedWord]:
     raise AssertionError("unreachable: the full set always covers itself")
 
 
-def _log2(n: int) -> float:
-    import math
-    return math.log2(n)
-
-
 def exact_capacity(words: Sequence[TimedWord], eps: Fraction) -> float:
     """log2 of the maximum eps-separated subset size."""
-    return _log2(len(exact_max_separated(words, eps)))
+    return math.log2(len(exact_max_separated(words, eps)))
 
 
 def exact_entropy(words: Sequence[TimedWord], eps: Fraction) -> float:
     """log2 of the minimum in-set eps-net size."""
-    return _log2(len(exact_min_net(words, eps)))
+    return math.log2(len(exact_min_net(words, eps)))
 
 
 # -- word files --------------------------------------------------------------------

@@ -135,6 +135,14 @@ def _cap_round(levels):
     return None
 
 
+def _level_outcome(rs, kind, h, cap):
+    """The level set of depth h, or the partial level when the cap stops it."""
+    try:
+        return "level", _level_sets(rs, kind, h, cap)
+    except SaturationCapExceeded as exc:
+        return "partial", exc.partial
+
+
 @pytest.mark.parametrize("name", [*NAMES, "fam_3_2", "draws"])
 def test_level_sets_match_naive_squaring(split_corpus, name):
     """Semi-naive rounds build the level set of naive squaring at every
@@ -152,13 +160,21 @@ def test_level_sets_match_naive_squaring(split_corpus, name):
             for h in range(depth + 2):
                 assert _level_sets(rs, kind, h) == levels[min(h, depth)], \
                     (kind, h, serialize_automaton(rs))
+            # savitch's call, whose depth is the cap itself
+            assert _level_sets(rs, kind, DEFAULT_CAP, DEFAULT_CAP) \
+                == set(saturate(rs, kind)), (kind, serialize_automaton(rs))
             # caps that the level first exceeds in the first, a middle and
             # the last round
             sizes = [len(level) for level in levels]
             for cap in {sizes[0] - 1, sizes[depth // 2], sizes[depth] - 1} - {0}:
                 stop = _cap_round(_reference_levels(rs, kind, cap))
                 assert (stop is None) == (cap >= sizes[depth]), (kind, cap)
-                for h in range(depth + 2):
+                # depth cap stops where the least h with 2**h >= cap does
+                # (at least 1: depth 0 runs no round and checks no cap)
+                shallow = max(1, (cap - 1).bit_length())
+                assert _level_outcome(rs, kind, cap, cap) \
+                    == _level_outcome(rs, kind, shallow, cap), (kind, cap)
+                for h in [*range(depth + 2), cap]:
                     try:
                         _level_sets(rs, kind, h, cap)
                         raised = False

@@ -236,6 +236,20 @@ edge q -> p on a guard y > 2 reset x
 edge p -> p on a guard x < 1
 """
 
+# r has no edge, so no command reads the vertices of its region
+STARTING_ABOVE_BOUND_EDGELESS = """automaton s
+clocks x y
+alphabet a
+location q initial accepting
+location p accepting
+location r
+starting q ⌊x⌋=0, frac(x)=0, ⌊y⌋=0, frac(y)=0
+starting p ⌊x⌋=0, frac(x)=0, ⌊y⌋=0, frac(y)=0
+starting r ⌊x⌋=0, frac(x)=0, y>M
+edge q -> p on a guard x <= 0
+edge p -> q on a guard y <= 0
+"""
+
 # one region for q, but the edge fires from x = 0 and from 0 < x < 1
 STARTING_INEXACT = """automaton s
 clocks x
@@ -391,6 +405,18 @@ def test_starting_region_above_bound_is_read_without_vertices(capsys, tmp_path):
         assert run(capsys, argv[0], str(tmp_path / "s.ta"), *argv[1:])[0] == 0
 
 
+def test_starting_region_above_bound_without_edges_is_accepted(capsys, tmp_path):
+    """classify and orbit read the regions of the locations that edges start
+    or end at, so a clock above the bound at an edgeless location passes."""
+    (tmp_path / "s.ta").write_text(STARTING_ABOVE_BOUND_EDGELESS)
+    for mode in ("bfs", "savitch"):
+        code, out, _ = run(capsys, "--json", "classify", str(tmp_path / "s.ta"),
+                           "--mode", mode)
+        assert code == 0
+        assert json.loads(out)["result"]["class"] == "meager"
+    assert run(capsys, "orbit", str(tmp_path / "s.ta"), "--path", "d1,d2")[0] == 0
+
+
 def test_regionized_inexact_edge_is_split_exact(capsys, tmp_path):
     """Without its starting line the inexact automaton regionizes into two
     exact edges, which classify and orbit then accept."""
@@ -426,9 +452,19 @@ def test_saturation_cap_env(capsys, corpus_dir, monkeypatch):
     assert run(capsys, "classify", str(corpus_dir / "a6.ta"))[0] == 0
 
 
-def test_cap_flag(capsys, corpus_dir):
+def test_cap_flag(capsys, corpus_dir, tmp_path):
     code, _, err = run(capsys, "classify", str(corpus_dir / "a6.ta"), "--cap", "3")
     assert code == 10
+    # no clocks: one region, and the monoid is the unit and one loop orbit
+    (tmp_path / "loops.ta").write_text(
+        "automaton loops\nalphabet a b\nlocation q initial accepting\n"
+        "edge q -> q on a\nedge q -> q on b\n")
+    for mode in ("bfs", "savitch"):
+        code, _, err = run(capsys, "classify", str(tmp_path / "loops.ta"),
+                           "--cap", "1", "--mode", mode)
+        assert code == 10 and "exceeded the cap of 1 elements" in err, mode
+        assert run(capsys, "classify", str(tmp_path / "loops.ta"),
+                   "--cap", "2", "--mode", mode)[0] == 2
 
 
 def test_savitch_mode_flag(capsys, corpus_dir):

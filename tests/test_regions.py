@@ -9,7 +9,7 @@ from conftest import deterministic_draws, grid_points_in_closure
 from tempoclass.corpus import NAMES, automaton
 from tempoclass.dbm import language_class
 from tempoclass.regions import (barycentric_coordinates, region_equivalent,
-                                region_of, singleton_region, time_successor_chain)
+                                region_of, time_successor_chain)
 from tempoclass.splitting import (_guard_on, check_exact_edges, closed_predecessor,
                                   closed_successor, region_split)
 from tempoclass.ta import (RELATIONS, ClockConstraint, Guard, TAError,
@@ -48,7 +48,7 @@ def test_region_of_matches_direct_definition(rng):
 def test_vertices_examples():
     assert region_of((F(1, 2), F(0)), 2).vertices() == ((0, 0), (1, 0))
     assert region_of((F(0), F(1, 2)), 2).vertices() == ((0, 0), (0, 1))
-    assert singleton_region((1, 1), 2).vertices() == ((1, 1),)
+    assert region_of((1, 1), 2).vertices() == ((1, 1),)
 
 
 def test_vertices_unbounded_rejected():
@@ -125,10 +125,10 @@ def test_barycentric_tells_off_hull_from_outside_closure():
 
 
 def test_chain_from_origin():
-    chain = time_successor_chain(singleton_region((0, 0), 1))
+    chain = time_successor_chain(region_of((0, 0), 1))
     assert chain[0].dimension == 0
     assert chain[1] == region_of((F(1, 2), F(1, 2)), 1)
-    assert chain[2] == singleton_region((1, 1), 1)
+    assert chain[2] == region_of((1, 1), 1)
     assert chain[-1].int_part == (None, None)
 
 
@@ -167,7 +167,7 @@ def test_chain_matches_sampling_oracle(seed):
 
 def test_reset_examples():
     r = region_of((F(3, 4), F(1, 4)), 2)      # 0 < y < x < 1
-    assert r.reset([0, 1]) == singleton_region((0, 0), 2)
+    assert r.reset([0, 1]) == region_of((0, 0), 2)
     assert r.reset([0]) == region_of((F(0), F(1, 4)), 2)
     assert r.reset([]) == r
 
@@ -228,7 +228,7 @@ location q initial accepting
     rs = region_split(a)
     assert len(rs.locations) == 1
     (region,) = rs.regions.values()
-    assert region == singleton_region((0,), 0)
+    assert region == region_of((0,), 0)
 
 
 def test_split_a8_three_vertex_simplex(split_corpus):
@@ -259,10 +259,10 @@ def test_closed_successor_examples(split_corpus):
                   if rs.regions[q] == region_of((F(1, 2), F(0)), 2))
     d1 = next(e for e in rs.edges_from(main_q)
               if rs.regions[e.dst] == region_of((F(0), F(1, 2)), 2))
-    assert closed_successor(rs, singleton_region((0, 0), 2), d1) \
+    assert closed_successor(rs, region_of((0, 0), 2), d1) \
         == region_of((F(0), F(1, 2)), 2)
-    assert closed_successor(rs, singleton_region((1, 0), 2), d1) \
-        == singleton_region((0, 0), 2)
+    assert closed_successor(rs, region_of((1, 0), 2), d1) \
+        == region_of((0, 0), 2)
     assert closed_predecessor(rs, rs.regions[d1.dst], d1) == rs.regions[d1.src]
 
 
@@ -322,7 +322,7 @@ def test_check_exact_edges_names_the_edge():
 def test_closed_successor_precondition():
     rs = region_split(automaton("a6"))
     e = rs.edges[0]
-    outside = singleton_region((2, 2), 2)
+    outside = region_of((2, 2), 2)
     with pytest.raises(TAError):
         closed_successor(rs, outside, e)
 
