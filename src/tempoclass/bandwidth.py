@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .ta import TAError
+from .ta import TAError, _atom_intervals
 from .words import INF, TimedWord
 
 DEFAULT_WORD_CAP = 400_000
@@ -105,12 +105,12 @@ def _compile_slice(a, duration: Fraction, grid: Fraction, cap: int) -> Optional[
         # the guard holds at clocks (grid units) iff clocks[i] >= b for every
         # (i, b) in lower and clocks[i] <= b for every (i, b) in upper
         lower, upper = [], []
-        for x in guard.atoms:
-            i, b = a.clock_index(x.clock), x.bound * scale
-            if x.relation in (">", ">="):
-                lower.append((i, b + 1 if x.relation == ">" else b))
-            else:
-                upper.append((i, b - 1 if x.relation == "<" else b))
+        for clock, (lo, los, hi, his) in _atom_intervals(guard.atoms).items():
+            i = a.clock_index(clock)
+            if lo or los:  # clocks are never negative
+                lower.append((i, int(lo * scale) + los))
+            if hi is not None:
+                upper.append((i, int(hi * scale) - his))
         return tuple(lower), tuple(upper)
 
     compiled = {}

@@ -35,7 +35,6 @@ the caller runs them.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -44,20 +43,6 @@ from .orbits import (FAST, INSTANT, SLOW, WIDE, Matrix, OrbitElement,
                      _row_times, _tarjan, matrix_product, orbit_one)
 from .splitting import DEFAULT_CAP, RegionSplitAutomaton, as_region_split
 from .ta import TAError, TimedAutomaton
-
-
-def saturation_cap(flag_value: Optional[int] = None) -> int:
-    env = os.environ.get("TEMPOCLASS_CAP")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise TAError(f"TEMPOCLASS_CAP must be an integer, got {env!r}")
-    else:
-        cap = DEFAULT_CAP if flag_value is None else flag_value
-    if cap < 1:
-        raise TAError(f"cap must be a positive integer, got {cap}")
-    return cap
 
 
 class SaturationCapExceeded(TAError):
@@ -604,7 +589,8 @@ def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Ve
     if not rsta.locations:
         # empty language: no cycles at all
         return Verdict("meager", None, "thin", guards_bounded_nonpunctual(a), (), {
-            "locations": 0, "regions": 0, "monoidSize": 0, "witnessMaxLen": 0,
+            "locations": 0, "regions": 0,
+            "monoidSize": 0 if mode == "bfs" else None, "witnessMaxLen": 0,
             "wallTimeMs": int((time.monotonic() - t0) * 1000)})
     reach_d = _reach(rsta, "d", cap, mode)
     if mode == "bfs":

@@ -18,9 +18,10 @@ from typing import Optional
 
 from . import bandwidth as bw
 from . import words as wd
-from .classify import classify, saturation_cap
+from .classify import classify
 from .orbits import export_dot, orbit_to_json, path_orbit
-from .splitting import RegionSplitAutomaton, as_region_split, region_split
+from .splitting import (DEFAULT_CAP, RegionSplitAutomaton, as_region_split,
+                        region_split)
 from .ta import TAError, ParseError, check_deterministic, parse_automaton, \
     serialize_automaton
 
@@ -194,8 +195,9 @@ def _expand_paths(rsta, wanted: list[str]) -> list[list]:
 
 def cmd_classify(args) -> int:
     a, digest = _load_automaton(args.file)
-    cap = saturation_cap(args.cap)
-    verdict = classify(a, cap=cap, mode=args.mode)
+    if args.cap < 1:
+        raise UsageError(f"cap must be a positive integer, got {args.cap}")
+    verdict = classify(a, cap=args.cap, mode=args.mode)
     result = verdict.to_json()
     human = [f"class: {verdict.classification}"
              + (f" (type {verdict.obesity_type})" if verdict.obesity_type else ""),
@@ -291,9 +293,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="meager / normal / obese verdict")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=None,
-                   help="cap on orbit saturation and region splitting "
-                   "(env TEMPOCLASS_CAP overrides)")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="cap on orbit saturation and region splitting")
     p.add_argument("--mode", choices=("bfs", "savitch"), default="bfs")
     p.set_defaults(func=cmd_classify)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from .orbits import EdgeOrbitTable, _tarjan, _topological_order, edge_orbit_table
 from .regions import Region, region_of, time_successor_chain
 from .ta import (TAError, TimedAutomaton, Edge, Guard, ClockConstraint,
@@ -23,16 +24,12 @@ from .ta import (TAError, TimedAutomaton, Edge, Guard, ClockConstraint,
 @dataclass
 class RegionSplitAutomaton(TimedAutomaton):
     regions: dict[str, Region] = field(default_factory=dict)
-    _edge_orbits = None           # not a field: built by the first `edge_orbits` read
 
-    @property
+    @cached_property
     def edge_orbits(self) -> EdgeOrbitTable:
         """Orbit of every edge in every kind by edge name, in `edges` order;
-        built on first use and kept for the automaton's lifetime.  Two threads
-        racing on the first read each build an equal table, and one is kept."""
-        if self._edge_orbits is None:
-            self._edge_orbits = edge_orbit_table(self)
-        return self._edge_orbits
+        built on first use and kept in the instance dict, outside the fields."""
+        return edge_orbit_table(self)
 
     def starting_ok(self, loc: str, clocks: ClockVector, closed: bool = False) -> bool:
         r = self.regions[loc]

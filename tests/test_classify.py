@@ -407,6 +407,13 @@ def test_region_split_cap(monkeypatch):
             region_split(ring, cap)
     with pytest.raises(RegionSplitCapExceeded, match="cap of 18:"):
         classify(ring, cap=18)
+    # no clocks: every chain is one region, so the location count passes first
+    fan = parse_automaton("automaton fan\nalphabet a b c d\nlocation q initial\n"
+                          + "".join(f"location p{i} accepting\nedge q -> p{i} on {x}\n"
+                                    for i, x in enumerate("abcd", 1)))
+    with pytest.raises(RegionSplitCapExceeded,
+                       match="cap of 3: more region-split locations than the cap"):
+        region_split(fan, 3)
 
 
 def test_region_split_counts_regions_across_chains():
@@ -749,6 +756,8 @@ edge q -> p on a guard x > 1, x < 1
     v = classify(a)
     assert v.classification == "meager"
     assert v.stats["locations"] == 0
+    assert v.stats["monoidSize"] == 0
+    assert classify(a, mode="savitch").stats["monoidSize"] is None
     with pytest.raises(ValueError):
         classify(a, mode="BFS")
 

@@ -42,6 +42,15 @@ def test_validate_reports_violations(capsys, tmp_path):
     report = json.loads(out)
     assert report["result"]["deterministic"] is False
     assert report["result"]["violations"][0]["witness"] == {"x": "0.5"}
+    f.write_text("automaton two\nalphabet a\nlocation q initial\n"
+                 "location p initial accepting\nedge q -> p on a\n")
+    code, out, _ = run(capsys, "validate", str(f))
+    assert code == 0
+    assert "deterministic: NO" in out
+    assert "  2 locations carry an initial constraint (need exactly 1)" in out.splitlines()
+    code, out, _ = run(capsys, "--json", "validate", str(f))
+    assert code == 0
+    assert [v["kind"] for v in json.loads(out)["result"]["violations"]] == ["initial"]
 
 
 def test_classify_exit_codes(capsys, corpus_dir):
@@ -274,119 +283,117 @@ starting q ⌊x⌋=0
 """
 
 
-@pytest.mark.parametrize("env, files, argv, message", [
-    pytest.param({"TEMPOCLASS_CAP": "abc"}, {}, ["classify", "a6.ta"],
-                 "TEMPOCLASS_CAP must be an integer", id="cap-env-not-integer"),
-    pytest.param({"TEMPOCLASS_CAP": "0"}, {}, ["classify", "a6.ta"],
-                 "cap must be a positive integer", id="cap-env-not-positive"),
-    pytest.param({}, {}, ["classify", "a6.ta", "--cap", "-3"],
-                 "cap must be a positive integer", id="cap-flag-not-positive"),
-    pytest.param({}, {}, ["bandwidth", "a5.ta", "--T", "10", "--eps", "0"],
+@pytest.mark.parametrize("files, argv, message", [
+    pytest.param({}, ["classify", "a6.ta", "--cap", "-3"],
+                 "cap must be a positive integer, got -3", id="cap-flag-not-positive"),
+    pytest.param({}, ["classify", "a6.ta", "--cap", "0"],
+                 "cap must be a positive integer, got 0", id="cap-flag-zero"),
+    pytest.param({}, ["classify", "a6.ta", "--cap", "x"],
+                 "argument --cap: invalid int value: 'x'", id="cap-flag-not-integer"),
+    pytest.param({}, ["bandwidth", "a5.ta", "--T", "10", "--eps", "0"],
                  "epsilon must be positive", id="eps-zero"),
-    pytest.param({}, {}, ["bandwidth", "a5.ta", "--T", "10", "--eps=-1/2"],
+    pytest.param({}, ["bandwidth", "a5.ta", "--T", "10", "--eps=-1/2"],
                  "epsilon must be positive", id="eps-negative"),
-    pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "0", "--eps", "1/2"],
+    pytest.param({}, ["bandwidth", "a6.ta", "--T", "0", "--eps", "1/2"],
                  "duration bound must be positive", id="duration-zero"),
-    pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "-2", "--eps", "1/2"],
+    pytest.param({}, ["bandwidth", "a6.ta", "--T", "-2", "--eps", "1/2"],
                  "duration bound must be positive", id="duration-negative"),
-    pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "1e400", "--eps", "1/2"],
+    pytest.param({}, ["bandwidth", "a6.ta", "--T", "1e400", "--eps", "1/2"],
                  "duration bound is too large", id="duration-too-large"),
-    pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "", "--eps", "1/2"],
+    pytest.param({}, ["bandwidth", "a6.ta", "--T", "", "--eps", "1/2"],
                  "--T needs at least one value", id="duration-list-empty"),
-    pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "2", "--eps", ""],
+    pytest.param({}, ["bandwidth", "a6.ta", "--T", "2", "--eps", ""],
                  "--eps needs at least one value", id="eps-list-empty"),
-    pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "2", "--eps", "1/2",
+    pytest.param({}, ["bandwidth", "a6.ta", "--T", "2", "--eps", "1/2",
                           "--grid", "0"],
                  "grid must be 1/2^k", id="grid-zero"),
-    pytest.param({}, {}, ["bandwidth", "a1.ta", "--T", "4", "--eps", "1/8",
+    pytest.param({}, ["bandwidth", "a1.ta", "--T", "4", "--eps", "1/8",
                           "--grid", "1/8"],
                  "grid must be at most eps/2", id="grid-too-coarse-slice-over-cap"),
-    pytest.param({}, {}, ["bandwidth", "a6.ta", "--T", "2", "--eps", "1/2",
+    pytest.param({}, ["bandwidth", "a6.ta", "--T", "2", "--eps", "1/2",
                           "--word-cap", "0"],
                  "word cap must be a positive integer", id="word-cap-zero"),
-    pytest.param({}, {"w.tw": "a 1/0\n"}, ["distance", "w.tw", "u.tw"],
+    pytest.param({"w.tw": "a 1/0\n"}, ["distance", "w.tw", "u.tw"],
                  "bad word file", id="word-date-zero-denominator"),
-    pytest.param({}, {"w.tw": "a\n"}, ["distance", "u.tw", "w.tw"],
+    pytest.param({"w.tw": "a\n"}, ["distance", "u.tw", "w.tw"],
                  "bad word file", id="word-line-without-date"),
-    pytest.param({}, {"latin1.ta": b"automaton \xe9\n"}, ["validate", "latin1.ta"],
+    pytest.param({"latin1.ta": b"automaton \xe9\n"}, ["validate", "latin1.ta"],
                  "latin1.ta is not UTF-8 text", id="automaton-not-utf8"),
-    pytest.param({}, {"s.ta": STARTING_UNKNOWN_CLOCK}, ["validate", "s.ta"],
+    pytest.param({"s.ta": STARTING_UNKNOWN_CLOCK}, ["validate", "s.ta"],
                  "unknown clock", id="starting-unknown-clock"),
-    pytest.param({}, {"s.ta": STARTING_OMITS_CLOCK}, ["validate", "s.ta"],
+    pytest.param({"s.ta": STARTING_OMITS_CLOCK}, ["validate", "s.ta"],
                  "initial vector violates the starting constraint",
                  id="starting-omits-clock"),
-    pytest.param({}, {"s.ta": STARTING_BARE}, ["validate", "s.ta"],
+    pytest.param({"s.ta": STARTING_BARE}, ["validate", "s.ta"],
                  "does not totally order", id="starting-bare"),
-    pytest.param({}, {"s.ta": STARTING_ABOVE_AND_FRACTION}, ["validate", "s.ta"],
+    pytest.param({"s.ta": STARTING_ABOVE_AND_FRACTION}, ["validate", "s.ta"],
                  "is above the bound and also has its integer part or fraction fixed",
                  id="starting-above-bound-with-fraction"),
-    pytest.param({}, {"s.ta": STARTING_MISSES_INITIAL},
+    pytest.param({"s.ta": STARTING_MISSES_INITIAL},
                  ["bandwidth", "s.ta", "--T", "1,2", "--eps", "1/2"],
                  "initial vector violates the starting constraint",
                  id="starting-misses-initial-vector"),
-    pytest.param({}, {"s.ta": STARTING_CONTRADICTS.format(
+    pytest.param({"s.ta": STARTING_CONTRADICTS.format(
                      atoms="frac(x)=0, frac(x)=frac(y), ⌊x⌋=1, ⌊x⌋=2")},
                  ["regionize", "s.ta"], "clock 'x' has two integer parts",
                  id="starting-two-integer-parts"),
-    pytest.param({}, {"s.ta": STARTING_CONTRADICTS.format(
+    pytest.param({"s.ta": STARTING_CONTRADICTS.format(
                      atoms="frac(x)=0, frac(x)=frac(y)")},
                  ["regionize", "s.ta"], "equates a zero and a positive fraction",
                  id="starting-zero-equals-positive"),
-    pytest.param({}, {"s.ta": STARTING_CONTRADICTS.format(
+    pytest.param({"s.ta": STARTING_CONTRADICTS.format(
                      atoms="frac(y)=0, frac(x)<frac(y)")},
                  ["regionize", "s.ta"], "puts a fraction below zero",
                  id="starting-fraction-below-zero"),
-    pytest.param({}, {"s.ta": STARTING_CONTRADICTS.format(
+    pytest.param({"s.ta": STARTING_CONTRADICTS.format(
                      atoms="frac(x)=frac(y), frac(y)<frac(x)")},
                  ["regionize", "s.ta"], "orders two equal fractions",
                  id="starting-equal-fractions-ordered"),
-    pytest.param({}, {"s.ta": STARTING_CONTRADICTS.format(atoms="⌊x⌋=0, ⌊y⌋=0")},
+    pytest.param({"s.ta": STARTING_CONTRADICTS.format(atoms="⌊x⌋=0, ⌊y⌋=0")},
                  ["regionize", "s.ta"], "does not totally order the fractional parts",
                  id="starting-fractions-unordered"),
-    pytest.param({}, {"s.ta": STARTING_CONTRADICTS.format(
+    pytest.param({"s.ta": STARTING_CONTRADICTS.format(
                      atoms="frac(x)<frac(y), frac(y)<frac(x)")},
                  ["regionize", "s.ta"], "does not totally order the fractional parts",
                  id="starting-fractions-cyclic"),
-    pytest.param({}, {"s.ta": STARTING_ABOVE_LITERAL_LOW}, ["validate", "s.ta"],
+    pytest.param({"s.ta": STARTING_ABOVE_LITERAL_LOW}, ["validate", "s.ta"],
                  "x>1 in the starting line of 'q' is below the max constant 2; "
                  "write x>M", id="starting-above-literal-below-bound"),
-    pytest.param({}, {"s.ta": STARTING_ABOVE_BOUND}, ["classify", "s.ta"],
+    pytest.param({"s.ta": STARTING_ABOVE_BOUND}, ["classify", "s.ta"],
                  "location 'p' starts in a region with a clock above the bound",
                  id="starting-above-bound-classify"),
-    pytest.param({}, {"s.ta": STARTING_ABOVE_BOUND},
+    pytest.param({"s.ta": STARTING_ABOVE_BOUND},
                  ["classify", "s.ta", "--mode", "savitch"],
                  "location 'p' starts in a region with a clock above the bound",
                  id="starting-above-bound-classify-savitch"),
-    pytest.param({}, {"s.ta": STARTING_ABOVE_BOUND},
+    pytest.param({"s.ta": STARTING_ABOVE_BOUND},
                  ["orbit", "s.ta", "--path", "d1,d2", "--kind", "f"],
                  "location 'p' starts in a region with a clock above the bound",
                  id="starting-above-bound-orbit"),
-    pytest.param({}, {"s.ta": STARTING_INEXACT}, ["classify", "s.ta"],
+    pytest.param({"s.ta": STARTING_INEXACT}, ["classify", "s.ta"],
                  "edge d1 is not exact", id="starting-inexact-edge-classify"),
-    pytest.param({}, {"s.ta": STARTING_INEXACT},
+    pytest.param({"s.ta": STARTING_INEXACT},
                  ["classify", "s.ta", "--mode", "savitch"],
                  "edge d1 is not exact", id="starting-inexact-edge-classify-savitch"),
-    pytest.param({}, {"s.ta": STARTING_INEXACT}, ["orbit", "s.ta", "--path", "d1"],
+    pytest.param({"s.ta": STARTING_INEXACT}, ["orbit", "s.ta", "--path", "d1"],
                  "edge d1 is not exact", id="starting-inexact-edge-orbit"),
-    pytest.param({}, {"s.ta": ACCEPTING_UNKNOWN_CLOCK}, ["validate", "s.ta"],
+    pytest.param({"s.ta": ACCEPTING_UNKNOWN_CLOCK}, ["validate", "s.ta"],
                  "accepting guard of 'q' uses undeclared clock 'x'",
                  id="accepting-unknown-clock-validate"),
-    pytest.param({}, {"s.ta": ACCEPTING_UNKNOWN_CLOCK}, ["classify", "s.ta"],
+    pytest.param({"s.ta": ACCEPTING_UNKNOWN_CLOCK}, ["classify", "s.ta"],
                  "accepting guard of 'q' uses undeclared clock 'x'",
                  id="accepting-unknown-clock-classify"),
-    pytest.param({}, {"big.ta": BIG_CONSTANT}, ["--json", "classify", "big.ta"],
+    pytest.param({"big.ta": BIG_CONSTANT}, ["--json", "classify", "big.ta"],
                  "region splitting exceeded the cap of 1000000",
                  id="region-split-over-cap"),
-    pytest.param({}, {"chains.ta": MANY_CHAINS},
+    pytest.param({"chains.ta": MANY_CHAINS},
                  ["classify", "chains.ta", "--cap", "1000"],
                  "region splitting exceeded the cap of 1000:",
                  id="region-chains-over-cap"),
 ])
-def test_bad_input_exits_with_message(capsys, corpus_dir, monkeypatch, env,
-                                      files, argv, message):
+def test_bad_input_exits_with_message(capsys, corpus_dir, monkeypatch, files, argv,
+                                      message):
     monkeypatch.chdir(corpus_dir)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     for name, text in files.items():
         if isinstance(text, bytes):
             (corpus_dir / name).write_bytes(text)
@@ -441,15 +448,6 @@ def test_starting_region_defaults_integer_part_to_zero():
     full = parse_automaton(head + "starting p ⌊x⌋=0, frac(x)=0\n")
     assert short.regions == full.regions
     assert short.regions["p"] == region_of((F(0), F(1, 2)), short.regions["p"].bound)
-
-
-def test_saturation_cap_env(capsys, corpus_dir, monkeypatch):
-    monkeypatch.setenv("TEMPOCLASS_CAP", "3")
-    code, _, err = run(capsys, "classify", str(corpus_dir / "a6.ta"))
-    assert code == 10
-    assert "cap" in err
-    monkeypatch.delenv("TEMPOCLASS_CAP")
-    assert run(capsys, "classify", str(corpus_dir / "a6.ta"))[0] == 0
 
 
 def test_cap_flag(capsys, corpus_dir, tmp_path):

@@ -130,6 +130,9 @@ def test_idempotent_power(a6_rs):
     k, e = idempotent_power(cycle)
     assert k == 1 and e == cycle
     assert idempotent_power(orbit_one("f")) == (1, orbit_one("f"))
+    # a swap of two vertices on one location is idempotent only at its square
+    swap = orbit_element("p", "q", ((0, 1), (1, 0)), "q")
+    assert idempotent_power(swap) == (2, orbit_element("p", "q", ((1, 0), (0, 1)), "q"))
 
 
 def test_idempotent_power_bounded_on_corpus(split_corpus):

@@ -45,6 +45,23 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         parse_automaton("automaton x\nclocks x\nalphabet a\nlocation q initial\n"
                         "edge q -> q on a guard x = 1, x = 2\n")
+    head = "automaton x\nclocks x\nalphabet a\nlocation q initial\n"
+    for text, line, message in [
+        (head + "edge q ->\n", 5, "unexpected end of line"),
+        (head + "edge q q on a\n", 5, "expected '->', found 'q'"),
+        (head + "location 1p\n", 5, "expected identifier, found '1p'"),
+        (head + "location p initial x = y\n", 5, "expected natural number, found 'y'"),
+        (head + "edge q -> q on a guard x 1\n", 5, "expected relation, found '1'"),
+        (head + "location q\n", 5, "duplicate location 'q'"),
+        (head + "location p final\n", 5, "unexpected token 'final'"),
+        (head + "edge q -> q on a after 1\n", 5, "unexpected token 'after'"),
+        ("clocks x\nalphabet a\nlocation q initial\n", 1, "missing 'automaton' line"),
+    ]:
+        with pytest.raises(ParseError) as raised:
+            parse_automaton(text)
+        assert raised.value.line == line and message in str(raised.value), text
+    with pytest.raises(TAError, match="edge d1 uses undeclared location"):
+        parse_automaton(head + "edge q -> p on a\n")
 
 
 def test_equality_sugar_desugars():
