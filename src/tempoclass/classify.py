@@ -28,7 +28,7 @@ reachability monoid is a monoid image of d, so it is never larger than d,
 and `monoidSize` is the size of d.
 
 The region-split automaton builds the edge orbits of every kind once, from
-one language class per edge and vertex pair, and keeps them: every check
+one delay interval per edge and vertex pair, and keeps them: every check
 and both modes build their monoids from that table, whether `classify` or
 the caller runs them.
 """

@@ -6,9 +6,13 @@ unbounded.  Every bound is closed: orbit entries are read off the closure of a
 path language, so no system the library builds has a strict bound.
 
 Guard bounds are naturals and the constants the translation adds are 0 and -1,
-so a query between integer vertices, which is every query the orbit layer
-makes, builds and closes a matrix of plain `int`s.  `Fraction` inputs mix in
-exactly: the entries they touch become `Fraction`s.
+so a query between integer vertices, which is every query the
+`path_orbit_direct` oracle makes, builds and closes a matrix of plain `int`s.
+`Fraction` inputs mix in exactly: the entries they touch become `Fraction`s.
+
+No runtime path builds a DBM: the edge orbit table reads each edge off one
+delay interval (`orbits._edge_classes`).  This module is the reference that
+`path_orbit_direct` and the tests compare against.
 """
 
 from __future__ import annotations

@@ -28,8 +28,9 @@ from fractions import Fraction
 from graphlib import TopologicalSorter
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .dbm import LanguageClass, language_class
+from .dbm import Interval, LanguageClass, language_class
 from .regions import Region, barycentric_coordinates
+from .ta import _atom_intervals
 
 ZERO = 0
 ONE_P = 1
@@ -212,15 +213,34 @@ def _entry_value(kind: str, lc: LanguageClass) -> int:
     return FAST
 
 
-def _orbits(automaton, path, src: str, dst: str) -> dict[str, OrbitElement]:
-    """Orbit of `path` from `src` to `dst` in every kind.  Every kind is an
-    image of the same vertex-to-vertex languages, so each is classified once."""
-    classes = [[language_class(automaton, path, v, w)
-                for w in automaton.location_vertices(dst)]
-               for v in automaton.location_vertices(src)]
-    return {kind: orbit_element(kind, src, [[_entry_value(kind, lc) for lc in row]
-                                            for row in classes], dst)
-            for kind in KINDS}
+def _edge_classes(automaton, e) -> list[list[LanguageClass]]:
+    """Language class of edge `e` from each vertex x of its source region
+    (rows) to each vertex y of its target region (columns).  For one edge
+    the closed language is one interval of the delay t: t >= 0, each guarded
+    clock c keeps x_c + t in the closure [lo, hi] of its window, and each
+    clock the edge keeps ends at y_c = x_c + t.  A reset clock ends at 0, so
+    the pair is empty unless y_c = 0.  Guard bounds are naturals, so the
+    windows and the interval stay `int`s."""
+    index = automaton.clock_index
+    windows = [(index(c), int(lo), hi if hi is None else int(hi))
+               for c, (lo, _, hi, _) in _atom_intervals(e.guard.atoms).items()]
+    resets = [index(c) for c in e.resets]
+    kept = [c for c in range(len(automaton.clocks)) if c not in resets]
+    rows = []
+    for x in automaton.location_vertices(e.src):
+        row = []
+        for y in automaton.location_vertices(e.dst):
+            pins = [y[c] - x[c] for c in kept]
+            lo = max([0, *pins, *(w_lo - x[c] for c, w_lo, _ in windows)])
+            hi = min([*pins, *(w_hi - x[c] for c, _, w_hi in windows if w_hi is not None)],
+                     default=None)
+            if any(y[c] for c in resets) or (hi is not None and lo > hi):
+                row.append(LanguageClass("empty"))
+            else:
+                row.append(LanguageClass("singleton" if lo == hi else "wide",
+                                         Interval(lo, hi)))
+        rows.append(row)
+    return rows
 
 
 EdgeOrbitTable = dict[str, dict[str, OrbitElement]]
@@ -229,9 +249,13 @@ EdgeOrbitTable = dict[str, dict[str, OrbitElement]]
 def edge_orbit_table(automaton) -> EdgeOrbitTable:
     """Orbit of every edge in every kind, keyed by kind and then by edge name
     in `automaton.edges` order; a fresh table on every call
-    (`RegionSplitAutomaton.edge_orbits` keeps one)."""
-    per_edge = [(e.name, _orbits(automaton, [e], e.src, e.dst)) for e in automaton.edges]
-    return {kind: {name: orbits[kind] for name, orbits in per_edge} for kind in KINDS}
+    (`RegionSplitAutomaton.edge_orbits` keeps one).  Each edge's language
+    classes are read once and mapped to every kind."""
+    per_edge = [(e, _edge_classes(automaton, e)) for e in automaton.edges]
+    return {kind: {e.name: orbit_element(kind, e.src, [[_entry_value(kind, lc) for lc in row]
+                                                       for row in classes], e.dst)
+                   for e, classes in per_edge}
+            for kind in KINDS}
 
 
 def edge_orbit(automaton, edge, kind: str) -> OrbitElement:
@@ -249,14 +273,18 @@ def path_orbit(automaton, path, kind: str) -> OrbitElement:
 
 
 def path_orbit_direct(automaton, path, kind: str) -> OrbitElement:
-    """Whole-path evaluation bypassing composition (oracle for the morphism
-    property)."""
+    """Whole-path evaluation bypassing composition and the edge table: one
+    DBM language class per vertex pair, for paths of every length (oracle
+    for the morphism property and for the table)."""
     if not path:
         return orbit_one(kind)
     for a, b in zip(path, path[1:]):
         if a.dst != b.src:
             return orbit_zero(kind)
-    return _orbits(automaton, list(path), path[0].src, path[-1].dst)[kind]
+    src, dst = path[0].src, path[-1].dst
+    return orbit_element(kind, src, [[_entry_value(kind, language_class(automaton, path, v, w))
+                                      for w in automaton.location_vertices(dst)]
+                                     for v in automaton.location_vertices(src)], dst)
 
 
 IDEMPOTENT_POWER_CAP = 1 << 16

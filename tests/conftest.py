@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from tempoclass.corpus import NAMES, automaton
+from tempoclass.corpus import NAMES, automaton, fam
 from tempoclass.regions import region_of
 from tempoclass.splitting import region_split
 from tempoclass.ta import (ClockConstraint, Edge, Guard, TimedAutomaton,
-                           check_deterministic)
+                           check_deterministic, parse_automaton)
 
 
 # one clock whose constant makes a time-successor chain of ~2 * 10^11 regions
@@ -50,6 +50,32 @@ location q initial accepting
 edge q -> q on b guard x < 1 reset x
 """
 
+# three-clock rings with one reset per edge: normal and thick (ring3_zx),
+# obese of type I and thick (ring3_y2)
+RING3 = """\
+automaton ring3_zx
+clocks x y z
+alphabet a b c
+location q initial
+location p accepting
+location r accepting
+edge q -> p on a guard x < 2 reset x
+edge p -> r on b guard y > 1, y < 2 reset y
+edge r -> q on c guard z < 2, x < 1 reset z
+"""
+
+RING3_Y2 = """\
+automaton ring3_y2
+clocks x y z
+alphabet a b c
+location q initial
+location p accepting
+location r accepting
+edge q -> p on a guard x < 2 reset x
+edge p -> r on b guard y < 2 reset y
+edge r -> q on c guard z < 1 reset z
+"""
+
 
 @pytest.fixture(scope="session")
 def corpus():
@@ -59,6 +85,16 @@ def corpus():
 @pytest.fixture(scope="session")
 def split_corpus(corpus):
     return {name: region_split(a) for name, a in corpus.items()}
+
+
+@pytest.fixture(scope="session")
+def oracle_subjects(split_corpus):
+    """Region splits of the corpus, of the seven `saturation` texts
+    (fam(k, 2) for k = 2..6 and both rings) and of 2,000 seeded draws."""
+    texts = [*(fam(k, 2) for k in range(2, 7)), RING3, RING3_Y2]
+    return [*split_corpus.values(),
+            *(region_split(parse_automaton(text)) for text in texts),
+            *map(region_split, deterministic_draws(7, 2000))]
 
 
 @pytest.fixture(scope="module")

@@ -16,8 +16,10 @@ from tempoclass.orbits import (FAST, INSTANT, KINDS, SLOW, WIDE, OrbitElement,
                                path_orbit, path_orbit_direct, semiring_add,
                                semiring_mul)
 from tempoclass.regions import region_of
-from conftest import BIG_CONSTANT, MANY_CHAINS, OPEN_TICKER, deterministic_draws
-from tempoclass.splitting import DEFAULT_CAP, RegionSplitCapExceeded, region_split
+from conftest import (BIG_CONSTANT, MANY_CHAINS, OPEN_TICKER, RING3, RING3_Y2,
+                      deterministic_draws)
+from tempoclass.splitting import (DEFAULT_CAP, RegionSplitCapExceeded, closed_successor,
+                                  region_split)
 from tempoclass.ta import (ClockConstraint, Edge, Guard, TimedAutomaton,
                            parse_automaton, serialize_automaton)
 
@@ -287,7 +289,9 @@ def test_orbit_element_value_semantics(split_corpus):
 
 
 @pytest.mark.parametrize("mode", ["bfs", "savitch", "standalone"])
-def test_classify_builds_edge_languages_once(split_corpus, monkeypatch, mode):
+def test_classify_builds_edge_languages_once(monkeypatch, mode):
+    """The edge table reads each edge off one delay interval, so no check
+    builds a DBM; only the `path_orbit_direct` oracle does."""
     # the package's classify() shadows the submodule name, so modules are
     # fetched by import path
     orbits = importlib.import_module("tempoclass.orbits")
@@ -300,7 +304,6 @@ def test_classify_builds_edge_languages_once(split_corpus, monkeypatch, mode):
 
     monkeypatch.setattr(orbits, "language_class", counting)
     if mode == "standalone":
-        # the checks called one by one on one automaton share its table
         fresh = region_split(automaton("a2"))
         for kind in ("p", "f", "d"):
             saturate(fresh, kind)
@@ -309,9 +312,15 @@ def test_classify_builds_edge_languages_once(split_corpus, monkeypatch, mode):
     else:
         verdict = classify(automaton("a2"), mode=mode)
         assert verdict.obesity_type == "II"
-    rs = split_corpus["a2"]
-    assert calls[0] == sum(len(rs.location_vertices(e.src))
-                           * len(rs.location_vertices(e.dst)) for e in rs.edges)
+    fresh = region_split(automaton("a2"))
+    e, f = next((e, f) for e in fresh.edges for f in fresh.edges_from(e.dst))
+    assert not path_orbit(fresh, [e, f], "d").is_zero
+    closed_successor(fresh, fresh.regions[e.src], e)
+    assert calls[0] == 0
+    # the counter is live: the oracle reaches it once per vertex pair
+    path_orbit_direct(fresh, [e, f], "d")
+    assert calls[0] == (len(fresh.location_vertices(e.src))
+                        * len(fresh.location_vertices(f.dst)))
 
 
 def test_saturation_cap():
@@ -358,31 +367,6 @@ def test_saturation_computes_each_product_once(monkeypatch):
     calls.clear()
     saturate(rs, "f")
     assert len(calls) == len(pairs)
-
-
-RING3 = """\
-automaton ring3_zx
-clocks x y z
-alphabet a b c
-location q initial
-location p accepting
-location r accepting
-edge q -> p on a guard x < 2 reset x
-edge p -> r on b guard y > 1, y < 2 reset y
-edge r -> q on c guard z < 2, x < 1 reset z
-"""
-
-RING3_Y2 = """\
-automaton ring3_y2
-clocks x y z
-alphabet a b c
-location q initial
-location p accepting
-location r accepting
-edge q -> p on a guard x < 2 reset x
-edge p -> r on b guard y < 2 reset y
-edge r -> q on c guard z < 1 reset z
-"""
 
 
 def test_region_split_cap(monkeypatch):
@@ -564,6 +548,38 @@ def test_meagerness_oracle_on_graphs(split_corpus):
         assert is_structurally_meager(rs).meager == meager, serialize_automaton(rs)
         counts[meager] += 1
     assert min(counts.values()) > len(subjects) // 10, counts
+
+
+def test_return_check_oracle_on_graphs(oracle_subjects):
+    """Type II's return check reads the support of cyclic d elements.  Some
+    cyclic d element at q has entry (v, u) nonzero iff (q, u) is reached
+    from (q, v) in one or more steps of the vertex graph of the nonzero d
+    edge entries; both answers occur often among the subjects."""
+    counts = {True: 0, False: 0}
+    for rs in oracle_subjects:
+        steps: dict[tuple[str, int], set[tuple[str, int]]] = {}
+        for e in rs.edges:
+            eo = rs.edge_orbits["d"][e.name]
+            for v, row in enumerate(() if eo.is_zero else eo.matrix):
+                steps.setdefault((e.src, v), set()).update(
+                    (e.dst, u) for u, entry in enumerate(row) if entry)
+        returns = {(x.src, v, u) for x in saturate(rs, "d") if x.cyclic
+                   for v, row in enumerate(x.matrix)
+                   for u, entry in enumerate(row) if entry}
+        for q in rs.locations:
+            n = len(rs.location_vertices(q))
+            for v in range(n):
+                reached, todo = set(), list(steps.get((q, v), ()))
+                while todo:
+                    w = todo.pop()
+                    if w not in reached:
+                        reached.add(w)
+                        todo.extend(steps.get(w, ()))
+                for u in range(n):
+                    hit = (q, u) in reached
+                    assert ((q, v, u) in returns) == hit, serialize_automaton(rs)
+                    counts[hit] += 1
+    assert min(counts.values()) > sum(counts.values()) // 10, counts
 
 
 def test_classify_witnesses_match_freedom_scan():

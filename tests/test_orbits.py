@@ -13,7 +13,8 @@ from tempoclass.orbits import (FAST, INSTANT, KINDS, NARROW, SLOW, WIDE,
                                path_orbit_direct, scc_decomposition, semiring_add,
                                semiring_mul, semiring_values)
 from tempoclass.regions import region_of
-from tempoclass.splitting import region_split
+from tempoclass.splitting import RegionSplitAutomaton, region_split
+from tempoclass.ta import ClockConstraint, Edge, Guard, serialize_automaton
 
 
 def test_semiring_spot_values():
@@ -42,17 +43,41 @@ def test_semiring_axioms_exhaustive(kind):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_edge_orbit_table_aligns_with_one_kind_views(split_corpus, name):
-    """Alignment and consistency: one dict per kind, keyed by edge name in
-    `rs.edges` order, equal to the one-kind views.  All three share `_orbits`,
-    so this is no oracle for the orbits themselves; the a6 examples and the
-    random-path tests are."""
+    """Alignment: one dict per kind, keyed by edge name in `rs.edges` order;
+    a fresh table equals the kept one that the one-kind views read."""
     rs = split_corpus[name]
     table = edge_orbit_table(rs)
     assert set(table) == set(KINDS)
     for kind in KINDS:
         assert list(table[kind]) == [e.name for e in rs.edges]
         for e, eo in zip(rs.edges, table[kind].values()):
-            assert eo == edge_orbit(rs, e, kind) == path_orbit_direct(rs, [e], kind)
+            assert eo == edge_orbit(rs, e, kind)
+
+
+def test_edge_orbit_table_matches_dbm_oracle(oracle_subjects):
+    """The table reads each edge off one delay interval; `path_orbit_direct`
+    closes and projects one DBM per vertex pair instead."""
+    for rs in oracle_subjects:
+        for kind in KINDS:
+            for e in rs.edges:
+                assert rs.edge_orbits[kind][e.name] == path_orbit_direct(rs, [e], kind), \
+                    (serialize_automaton(rs), e.name, kind)
+
+
+def test_edge_orbit_of_a_reset_clock_needs_a_zero_target():
+    """Region-split edges are exact, so a reset clock is 0 at every vertex
+    of the target region and the subjects above never test the rule that a
+    reset clock must end at 0.  Here the edge resets x into x in (0, 1)."""
+    unit = region_of((F(1, 2),), 1)
+    rs = RegionSplitAutomaton("loose", ("x",), ("a",), ("q", "p"),
+                              (Edge("e", "q", "p", "a",
+                                    Guard((ClockConstraint("x", "<", 1),)),
+                                    frozenset({"x"})),),
+                              {"q": (F(1, 2),)}, {}, {"q": unit, "p": unit})
+    e = rs.edges[0]
+    for kind in KINDS:
+        assert rs.edge_orbits[kind]["e"] == path_orbit_direct(rs, [e], kind)
+    assert rs.edge_orbits["p"]["e"].matrix == ((1, 0), (1, 0))
 
 
 def test_a6_reach_orbits(a6_rs):
