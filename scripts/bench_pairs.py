@@ -13,7 +13,10 @@ won (ties count for neither side) and two verdicts:
 * ``gain`` when the change won at least nine tenths of the pairs and its
   median beats the parent's by more than the parent's interquartile range;
 * ``REGRESSION`` when the change's median is worse than the parent's by more
-  than the metric's bound.
+  than the metric's bound;
+* ``unresolved`` when the parent's interquartile range exceeds the metric's
+  bound relative to its median, so the runs spread too widely to tell, and
+  not every run of the change beats every run of the parent.
 
 It also prints the failed and attempted operations of each side.  With
 ``--out FILE`` it also writes all of this, with every run's value, as
@@ -60,11 +63,15 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
     rel = (cm - pm) / pm if pm else 0.0
     gain = cm < pm - (p3 - p1) if lower else cm > pm + (p3 - p1)
     worse = rel > metric["bound"] if lower else -rel > metric["bound"]
+    spread = (p3 - p1) / pm if pm else 0.0
+    clear = max(change) < min(parent) if lower else min(change) > max(parent)
     verdict = []
     if gain and 10 * wins >= 9 * len(parent):
         verdict.append("gain")
     if worse:
         verdict.append("REGRESSION")
+    if spread > metric["bound"] and not clear:
+        verdict.append("unresolved")
     return {"unit": metric["unit"], "better": metric["better"],
             "bound": metric["bound"],
             "parent": {"values": parent, "median": pm, "quartiles": [p1, p3]},

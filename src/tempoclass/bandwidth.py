@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .ta import TAError, _atom_intervals
+from .ta import TAError
 from .words import INF, TimedWord
 
 DEFAULT_WORD_CAP = 400_000
@@ -105,12 +105,12 @@ def _compile_slice(a, duration: Fraction, grid: Fraction, cap: int) -> Optional[
         # the guard holds at clocks (grid units) iff clocks[i] >= b for every
         # (i, b) in lower and clocks[i] <= b for every (i, b) in upper
         lower, upper = [], []
-        for clock, (lo, los, hi, his) in _atom_intervals(guard.atoms).items():
+        for clock, (lo, los, hi, his) in guard.windows.items():
             i = a.clock_index(clock)
             if lo or los:  # clocks are never negative
-                lower.append((i, int(lo * scale) + los))
+                lower.append((i, lo * scale + los))
             if hi is not None:
-                upper.append((i, int(hi * scale) - his))
+                upper.append((i, hi * scale - his))
         return tuple(lower), tuple(upper)
 
     compiled = {}

@@ -531,21 +531,13 @@ def _thick_on_support(a: RegionSplitAutomaton, reach,
 
 
 def guards_bounded_nonpunctual(a: TimedAutomaton) -> bool:
-    """Every guard caps some clock from above and pins none to a point; the
-    thin/thick comparison is only claimed under these hypotheses."""
-    for e in a.edges:
-        uppers = [x for x in e.guard.atoms if x.relation in ("<", "<=")]
-        if not uppers:
-            return False
-        by_clock: dict[str, list] = {}
-        for atom in e.guard.atoms:
-            by_clock.setdefault(atom.clock, []).append(atom)
-        for atoms in by_clock.values():
-            los = [x.bound for x in atoms if x.relation == ">="]
-            his = [x.bound for x in atoms if x.relation == "<="]
-            if los and his and max(los) == min(his):
-                return False
-    return True
+    """Every guard caps some clock from above and pins none to a point (an
+    upper bound `<= 0` pins its clock to 0); the thin/thick comparison is
+    only claimed under these hypotheses."""
+    return all(any(hi is not None for _, _, hi, _ in e.guard.windows.values())
+               and not any(lo == hi and not (los or his)
+                           for lo, los, hi, his in e.guard.windows.values())
+               for e in a.edges)
 
 
 # -- the classification driver ------------------------------------------------------

@@ -30,7 +30,6 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .dbm import Interval, LanguageClass, language_class
 from .regions import Region, barycentric_coordinates
-from .ta import _atom_intervals
 
 ZERO = 0
 ONE_P = 1
@@ -219,11 +218,10 @@ def _edge_classes(automaton, e) -> list[list[LanguageClass]]:
     the closed language is one interval of the delay t: t >= 0, each guarded
     clock c keeps x_c + t in the closure [lo, hi] of its window, and each
     clock the edge keeps ends at y_c = x_c + t.  A reset clock ends at 0, so
-    the pair is empty unless y_c = 0.  Guard bounds are naturals, so the
-    windows and the interval stay `int`s."""
+    the pair is empty unless y_c = 0.  Guard windows and vertices are
+    `int`s, so the interval is too."""
     index = automaton.clock_index
-    windows = [(index(c), int(lo), hi if hi is None else int(hi))
-               for c, (lo, _, hi, _) in _atom_intervals(e.guard.atoms).items()]
+    windows = [(index(c), lo, hi) for c, (lo, _, hi, _) in e.guard.windows.items()]
     resets = [index(c) for c in e.resets]
     kept = [c for c in range(len(automaton.clocks)) if c not in resets]
     rows = []

@@ -3,7 +3,7 @@ starting constraint and every edge is exact between regions.
 
 The construction folds two steps into one forward exploration: locations are
 annotated with the set of clocks that ran above the max constant (such clocks
-are force-reset on entry and their guard atoms are resolved statically), and
+are force-reset on entry and guards read them as above it), and
 split by the region their entry vectors inhabit.  Edge guards are refined to
 pin the exact region in which the original guard is crossed, which keeps the
 result deterministic and makes every edge's successor relation exact.
@@ -62,16 +62,17 @@ def region_pins(clocks: tuple[str, ...], region: Region) -> Guard:
     return Guard(tuple(atoms))
 
 
-def _guard_on(region: Region, atoms, clocks) -> bool:
+def _guard_on(region: Region, atoms, clocks, large: frozenset[str]) -> bool:
     """Whether every atom holds throughout `region`, decided from each
     clock's integer part and zero-fraction flag.  Atom bounds must not
     exceed the region's bound, so a clock above it satisfies exactly the
-    lower bounds; a clock with integer part i and a positive fraction lies
-    in (i, i+1), below k iff i < k and above it iff i >= k."""
+    lower bounds; a clock in `large` ran above it before a forced reset and
+    reads as above it.  A clock with integer part i and a positive fraction
+    lies in (i, i+1), below k iff i < k and above it iff i >= k."""
     zero = region.zero_fraction
     for a in atoms:
         i = clocks.index(a.clock)
-        ip = region.int_part[i]
+        ip = None if a.clock in large else region.int_part[i]
         upper = a.relation in ("<", "<=")
         if ip is None:
             ok = not upper
@@ -82,22 +83,6 @@ def _guard_on(region: Region, atoms, clocks) -> bool:
         if not ok:
             return False
     return True
-
-
-def _resolve_large(atoms, large: frozenset[str]):
-    """Split guard atoms into (kept, feasible) under 'these clocks are large'.
-
-    Atoms upper-bounding a large clock can never hold (bounds never exceed the
-    max constant), lower bounds on large clocks always hold.
-    """
-    kept = []
-    for a in atoms:
-        if a.clock in large:
-            if a.relation in ("<", "<="):
-                return None
-        else:
-            kept.append(a)
-    return tuple(kept)
 
 
 _Key = tuple[str, frozenset[str], Region]
@@ -151,12 +136,7 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
     def is_accepting(key: _Key) -> bool:
         base, large, region = key
         g = a.accepting.get(base)
-        if g is None:
-            return False
-        kept = _resolve_large(g.atoms, large)
-        if kept is None:
-            return False
-        return _guard_on(region, kept, clock_list)
+        return g is not None and _guard_on(region, g.atoms, clock_list, large)
 
     # forward exploration
     succ: dict[_Key, list[tuple[Edge, Region, frozenset[str], _Key]]] = {}
@@ -174,12 +154,9 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
             raise RegionSplitCapExceeded(
                 cap, "more regions in time-successor chains than the cap")
         for e in a.edges_from(base):
-            kept = _resolve_large(e.guard.atoms, large)
-            if kept is None:
-                continue
             resets = frozenset(e.resets)
             for fired in chain:
-                if not _guard_on(fired, kept, clock_list):
+                if not _guard_on(fired, e.guard.atoms, clock_list, large):
                     continue
                 newly = frozenset(
                     c for i, c in enumerate(a.clocks)
@@ -254,7 +231,7 @@ def check_exact_edges(a: RegionSplitAutomaton) -> None:
     clocks = list(a.clocks)
     for e in a.edges:
         fired = [r for r in time_successor_chain(a.regions[e.src])
-                 if _guard_on(r, e.guard.atoms, clocks)]
+                 if _guard_on(r, e.guard.atoms, clocks, frozenset())]
         if len(fired) != 1:
             raise TAError(f"edge {e.name} is not exact: it fires from {len(fired)} "
                           "regions of its source region's time-successor chain")

@@ -2,6 +2,9 @@
 
 Clock values and dates are exact rationals (`fractions.Fraction`); no floating
 point enters the semantics, so guard and region-membership tests are exact.
+Guards are read through one window per clock (`Guard.windows`) with `int`
+bounds.  Clocks are never negative, so `x <= 0` pins `x` to 0 as `x = 0`
+does, and `fatnessApplicable` reads both as punctual.
 """
 
 from __future__ import annotations
@@ -9,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Mapping, Optional, Sequence
 
 RELATIONS = ("<", "<=", ">", ">=")
 
@@ -55,48 +59,22 @@ class ClockConstraint:
         return f"{self.clock} {self.relation} {self.bound}"
 
 
-# Interval of values a single clock may take: (lo, lo_strict, hi, hi_strict),
-# hi is None for unbounded.  Clocks are implicitly >= 0.
-_Interval = tuple[Fraction, bool, Optional[Fraction], bool]
+# Window of values one clock may take under a guard: (lo, lo_strict, hi,
+# hi_strict) with `int` bounds, hi None when unbounded.  Clocks are never
+# negative, so lo starts at 0, non-strict.
+_Window = tuple[int, bool, Optional[int], bool]
 
 
-def _atom_intervals(atoms: Iterable[ClockConstraint]) -> dict[str, _Interval]:
-    iv: dict[str, _Interval] = {}
-    for a in atoms:
-        lo, los, hi, his = iv.get(a.clock, (Fraction(0), False, None, False))
-        b = Fraction(a.bound)
-        if a.relation == ">":
-            if b > lo or (b == lo and not los):
-                lo, los = b, True
-        elif a.relation == ">=":
-            if b > lo:
-                lo, los = b, False
-        elif a.relation == "<":
-            if hi is None or b < hi or (b == hi and not his):
-                hi, his = b, True
-        else:  # <=
-            if hi is None or b < hi:
-                hi, his = b, False
-        iv[a.clock] = (lo, los, hi, his)
-    return iv
-
-
-def _interval_nonempty(iv: _Interval) -> bool:
-    lo, los, hi, his = iv
+def _window_point(w: _Window) -> Optional[Fraction]:
+    """A value in the window, or None when it is empty."""
+    lo, los, hi, his = w
     if hi is None:
-        return True
+        return Fraction(lo + los)
     if lo < hi:
-        return True
-    return lo == hi and not los and not his
-
-
-def _interval_pick(iv: _Interval) -> Fraction:
-    lo, los, hi, his = iv
-    if hi is None:
-        return lo if not los else lo + 1
-    if lo == hi:
-        return lo
-    return (lo + hi) / 2
+        return Fraction(lo + hi, 2)
+    if lo == hi and not (los or his):
+        return Fraction(lo)
+    return None
 
 
 @dataclass(frozen=True)
@@ -105,15 +83,37 @@ class Guard:
 
     atoms: tuple[ClockConstraint, ...] = ()
 
+    @cached_property
+    def windows(self) -> dict[str, _Window]:
+        """The window of each clock some atom constrains: the tightest lower
+        and upper bounds, strict where a strict atom gives the bound."""
+        out: dict[str, _Window] = {}
+        for a in self.atoms:
+            lo, los, hi, his = out.get(a.clock, (0, False, None, False))
+            b = a.bound
+            if a.relation == ">":
+                if b >= lo:
+                    lo, los = b, True
+            elif a.relation == ">=":
+                if b > lo:
+                    lo, los = b, False
+            elif a.relation == "<":
+                if hi is None or b <= hi:
+                    hi, his = b, True
+            elif hi is None or b < hi:
+                hi, his = b, False
+            out[a.clock] = (lo, los, hi, his)
+        return out
+
     def holds(self, values: Mapping[str, Fraction], closed: bool = False) -> bool:
         return all(a.holds(values[a.clock], closed) for a in self.atoms)
 
     def witness(self, clocks: Sequence[str]) -> Optional[dict[str, Fraction]]:
         """A clock vector satisfying the guard, or None."""
-        ivs = _atom_intervals(self.atoms)
-        if not all(_interval_nonempty(iv) for iv in ivs.values()):
+        points = {c: _window_point(w) for c, w in self.windows.items()}
+        if None in points.values():
             return None
-        return {c: _interval_pick(ivs[c]) if c in ivs else Fraction(0) for c in clocks}
+        return {c: points.get(c, Fraction(0)) for c in clocks}
 
     def conjoin(self, other: "Guard") -> "Guard":
         return Guard(self.atoms + other.atoms)
@@ -442,7 +442,7 @@ class _LineParser:
         return self.pos >= len(self.toks)
 
 
-def _parse_guard_atoms(p: _LineParser, stop_words: set[str]) -> tuple[ClockConstraint, ...]:
+def _parse_guard(p: _LineParser, stop_words: set[str]) -> Guard:
     atoms: list[ClockConstraint] = []
     while not p.done() and p.peek() not in stop_words:
         clock = p.ident()
@@ -458,13 +458,13 @@ def _parse_guard_atoms(p: _LineParser, stop_words: set[str]) -> tuple[ClockConst
         if p.peek() == ",":
             p.take()
     # reject equality sugar that contradicts other atoms on the same clock
-    ivs = _atom_intervals(atoms)
+    guard = Guard(tuple(atoms))
     eq_clocks = {a.clock for a in atoms if a.relation == "<="} & \
                 {a.clock for a in atoms if a.relation == ">="}
     for c in eq_clocks:
-        if not _interval_nonempty(ivs[c]):
+        if _window_point(guard.windows[c]) is None:
             p.error(f"unsatisfiable equality constraints on clock {c!r}")
-    return tuple(atoms)
+    return guard
 
 
 def parse_automaton(text: str):
@@ -519,7 +519,7 @@ def parse_automaton(text: str):
                             p.take()
                     initial_raw[loc] = assigns
                 elif kw == "accepting":
-                    accepting[loc] = Guard(_parse_guard_atoms(p, set()))
+                    accepting[loc] = _parse_guard(p, set())
                 else:
                     p.error(f"unexpected token {kw!r}")
         elif head == "edge":
@@ -536,7 +536,7 @@ def parse_automaton(text: str):
             while not p.done():
                 kw = p.take()
                 if kw == "guard":
-                    guard = Guard(_parse_guard_atoms(p, {"reset"}))
+                    guard = _parse_guard(p, {"reset"})
                 elif kw == "reset":
                     got = [p.ident()]
                     while p.peek() == ",":

@@ -709,6 +709,12 @@ def test_guard_flags():
     assert not guards_bounded_nonpunctual(automaton("a5"))   # punctual guards
     assert guards_bounded_nonpunctual(automaton("a6"))
     assert guards_bounded_nonpunctual(automaton("a4"))
+    for guard, applicable in (("x <= 0", False), ("x = 0", False),
+                              ("x <= 0, y < 2", False), ("x < 1", True)):
+        a = parse_automaton("automaton g\nclocks x y\nalphabet a\n"
+                            "location q initial accepting\n"
+                            f"edge q -> q on a guard {guard}\n")
+        assert guards_bounded_nonpunctual(a) == applicable, guard
 
 
 def test_thick_implies_not_meager_when_applicable():

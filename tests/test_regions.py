@@ -189,19 +189,22 @@ def test_reset_matches_sampling_oracle(rng):
 def test_guard_on_matches_representative(rng):
     """Each atom is decided from integer parts and zero-fraction flags alone,
     as `Guard.holds` decides it at the region's representative, for atom
-    bounds up to the region's bound."""
+    bounds up to the region's bound; a clock in `large` is decided as if it
+    were above the bound."""
     clocks = ["x", "y", "z"]
     for _ in range(2000):
         bound = rng.randrange(0, 4)
         n = rng.randrange(1, 4)
         point = tuple(F(rng.randrange(0, (bound + 2) * 4), 4) for _ in range(n))
         region = region_of(point, bound)
+        large = frozenset(c for c in clocks[:n] if rng.random() < 0.3)
         atoms = tuple(ClockConstraint(rng.choice(clocks[:n]), rng.choice(RELATIONS),
                                       rng.randrange(0, bound + 1))
                       for _ in range(rng.randrange(1, 4)))
         rep = dict(zip(clocks, region.representative()))
-        assert _guard_on(region, atoms, clocks[:n]) == Guard(atoms).holds(rep), \
-            (region, atoms)
+        rep.update((c, F(bound + 1)) for c in large)
+        assert _guard_on(region, atoms, clocks[:n], large) == Guard(atoms).holds(rep), \
+            (region, atoms, large)
 
 
 # -- region splitting -----------------------------------------------------------

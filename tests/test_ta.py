@@ -3,9 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from tempoclass.corpus import NAMES, automaton
-from tempoclass.ta import (ParseError, State, TAError, check_deterministic,
-                           check_run, parse_automaton, relabel_deterministic,
-                           serialize_automaton, step)
+from tempoclass.ta import (RELATIONS, ClockConstraint, Guard, ParseError, State,
+                           TAError, check_deterministic, check_run, parse_automaton,
+                           relabel_deterministic, serialize_automaton, step)
 
 
 def test_parse_a6_shape():
@@ -101,6 +101,29 @@ edge q -> r on a guard x < 2
     v = rep.violations[0]
     assert set(v.edges) == {"d1", "d2"}
     assert v.witness == {"x": F(1, 2)}
+
+
+def test_guard_windows_match_holds(rng):
+    """Each clock's window holds exactly the values `Guard.holds` accepts on
+    a quarter grid, and `Guard.witness` is None iff some window is empty."""
+    grid = [F(k, 4) for k in range(21)]
+    for _ in range(3000):
+        atoms = tuple(ClockConstraint(rng.choice("xy"), rng.choice(RELATIONS),
+                                      rng.randrange(0, 4))
+                      for _ in range(rng.randrange(1, 5)))
+        g = Guard(atoms)
+        empty = False
+        for c, (lo, los, hi, his) in g.windows.items():
+            assert all(type(b) is int for b in (lo, hi) if b is not None)
+            own = Guard(tuple(a for a in atoms if a.clock == c))
+            inside = [v for v in grid if own.holds({c: v})]
+            assert inside == [v for v in grid
+                              if (v > lo if los else v >= lo)
+                              and (hi is None or (v < hi if his else v <= hi))], atoms
+            empty = empty or not inside
+        w = g.witness(("x", "y"))
+        assert (w is None) == empty, atoms
+        assert w is None or g.holds(w), atoms
 
 
 def test_disjoint_guards_are_fine():
