@@ -15,7 +15,9 @@ The script runs ``classify`` (bfs mode) in a fresh Python process that
 imports the library from this checkout's ``src`` directory, so the numbers
 do not depend on what ran before.  It prints the JSON report without its
 ``wallTimeMs`` stat, the seconds the child spent parsing and classifying,
-and the child's peak resident set size.  Standard library only.
+and the child's peak resident set size.  When the library stops the run (a
+cap hit), it prints the seconds, the peak and the message instead, and
+exits 10, as the ``tempoclass`` command does.  Standard library only.
 """
 
 from __future__ import annotations
@@ -36,11 +38,15 @@ from tempoclass.corpus import fam  # noqa: E402
 CHILD = """\
 import json, sys, time
 from tempoclass import classify, parse_automaton
+from tempoclass.ta import TAError
 t0 = time.perf_counter()
-report = classify(parse_automaton(sys.stdin.read())).to_json()
-seconds = time.perf_counter() - t0
-del report["stats"]["wallTimeMs"]
-print(json.dumps({"report": report, "seconds": seconds}))
+try:
+    result = {"report": classify(parse_automaton(sys.stdin.read())).to_json()}
+    del result["report"]["stats"]["wallTimeMs"]
+except TAError as ex:
+    result = {"error": str(ex)}
+result["seconds"] = time.perf_counter() - t0
+print(json.dumps(result))
 """
 
 
@@ -62,9 +68,13 @@ def main(argv: list[str] | None = None) -> int:
     result = json.loads(proc.stdout)
     # ru_maxrss is in kibibytes on Linux
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    name = f"fam({args.k},{args.clocks})"
+    if "error" in result:
+        print(f"{name}: exit 10 after {result['seconds']:.2f} s, "
+              f"peak RSS {peak_mb:.1f} MB: {result['error']}")
+        return 10
     print(json.dumps(result["report"], sort_keys=True))
-    print(f"fam({args.k},{args.clocks}): {result['seconds']:.2f} s, "
-          f"peak RSS {peak_mb:.1f} MB")
+    print(f"{name}: {result['seconds']:.2f} s, peak RSS {peak_mb:.1f} MB")
     return 0
 
 

@@ -22,10 +22,12 @@ it off d.  Meagerness is decided on graphs (`_wide_vertices`), and the wide
 f entries that the meager witness and thickness on one vertex need are found
 by a breadth-first search over rows of f orbits (`_least_wide_cycle`), which
 reports the least paths that a scan of the breadth-first f monoid would.
-`savitch` builds its own f and d level sets and scans them for every
-pattern, so it is the independent oracle for all three verdicts.  The
-reachability monoid is a monoid image of d, so it is never larger than d,
-and `monoidSize` is the size of d.
+`savitch` scans its own f and d level sets for every pattern, so it is the
+independent oracle for all three verdicts.  The reachability monoid is a
+monoid image of d, so it is never larger than d, and `monoidSize` is the
+size of d.  Each pattern reads the cyclic elements as (location, matrix,
+witness) off the interned search (`_cycles`), with no `OrbitElement` per
+element, and type II looks its returns up in one index.
 
 The region-split automaton builds the edge orbits of every kind once, from
 one delay interval per edge and vertex pair, and keeps them: every check
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 from .orbits import (FAST, INSTANT, SLOW, WIDE, Matrix, OrbitElement,
@@ -46,6 +49,8 @@ from .ta import TAError, TimedAutomaton
 
 
 class SaturationCapExceeded(TAError):
+    """`partial` is what the search had found; for `_cycles`, its element count."""
+
     def __init__(self, cap: int, partial, what: str = "orbit saturation",
                  unit: str = "elements"):
         super().__init__(f"{what} exceeded the cap of {cap} {unit}")
@@ -64,17 +69,12 @@ def saturate(a: RegionSplitAutomaton, kind: str, cap: int = DEFAULT_CAP
     elements, `SaturationCapExceeded.partial` holds its first `cap + 1`.
 
     The search runs on interned matrices (`_saturate_ids`) and builds each
-    element once, after the search: the index and the product memo are
-    freed before the result is filled.
+    element once, after the search.
     """
     locations, matrices, keys, witnesses = _saturate_ids(a, kind, cap)
     reach: dict[OrbitElement, tuple[str, ...]] = {orbit_one(kind): ()}
-    # popped in insertion order, each key is freed as its element is built,
-    # so the ids and the result never peak together
-    keys.reverse()
-    witnesses.reverse()
-    while keys:
-        reach[_element(kind, locations, matrices, keys.pop())] = witnesses.pop()
+    reach.update(zip((OrbitElement(kind, "elem", *e)
+                      for e in _decode(locations, matrices, keys)), witnesses))
     if len(reach) > cap:
         raise SaturationCapExceeded(cap, reach)
     return reach
@@ -96,12 +96,13 @@ def _intern_edges(a: RegionSplitAutomaton, kind: str):
     return loc_ids, mat_ids, edges
 
 
-def _element(kind: str, locations: list[str], matrices: list[Matrix],
-             key: int) -> OrbitElement:
-    rest, dst = divmod(key, len(locations))
-    mat, src = divmod(rest, len(locations))
-    return OrbitElement(kind, "elem", locations[src], matrices[mat],
-                        locations[dst])
+def _decode(locations: list[str], matrices: list[Matrix], keys):
+    """The (src, matrix, dst) of each element key, in order."""
+    n = len(locations)
+    for key in keys:
+        rest, dst = divmod(key, n)
+        mat, src = divmod(rest, n)
+        yield locations[src], matrices[mat], locations[dst]
 
 
 def _saturate_ids(a: RegionSplitAutomaton, kind: str, cap: int):
@@ -187,7 +188,8 @@ def _level_sets(a: RegionSplitAutomaton, kind: str, h: int,
     """
     locations, matrices, keys = _level_set_ids(a, kind, h, cap)
     level = {orbit_one(kind)}
-    level.update(_element(kind, locations, matrices, key) for key in keys)
+    level.update(OrbitElement(kind, "elem", *e)
+                 for e in _decode(locations, matrices, keys))
     if h and len(level) > cap:
         raise SaturationCapExceeded(cap, level)
     return level
@@ -265,14 +267,25 @@ class ThickReport:
     witness: Optional[PatternWitness] = None      # complete cyclic reach orbit
 
 
-def _reach(a: RegionSplitAutomaton, kind: str, cap: int, mode: str
-           ) -> dict[OrbitElement, Optional[tuple[str, ...]]]:
-    """Every path orbit of the kind, mapped to a shortest witness (`bfs`) or to
-    None (`savitch`)."""
+def _cycles(a: RegionSplitAutomaton, kind: str, cap: int, mode: str):
+    """The size of the kind's monoid, unit included, and its cyclic elements
+    as (location, matrix, witness) in insertion order, with a shortest
+    witness (`bfs`) or None (`savitch`); every pattern reads only these."""
     _check_mode(mode)
     if mode == "bfs":
-        return saturate(a, kind, cap)
-    return dict.fromkeys(_level_sets(a, kind, cap, cap))
+        locations, matrices, keys, witnesses = _saturate_ids(a, kind, cap)
+    else:
+        locations, matrices, keys = _level_set_ids(a, kind, cap, cap)
+        witnesses = repeat(None)
+    if len(keys) >= cap:
+        raise SaturationCapExceeded(cap, len(keys) + 1)
+    elements = zip(_decode(locations, matrices, keys), witnesses)
+    return len(keys) + 1, [(q, m, wit) for (q, m, dst), wit in elements if q == dst]
+
+
+def _cycles_of(reach: dict) -> list:
+    """A monoid dict's cyclic elements, in the form of `_cycles`."""
+    return [(e.src, e.matrix, wit) for e, wit in reach.items() if e.cyclic]
 
 
 def _check_mode(mode: str) -> None:
@@ -295,13 +308,16 @@ def is_structurally_meager(a: RegionSplitAutomaton, mode: str = "bfs",
     comes from the row search, as in `classify`."""
     if reach is None and mode == "bfs":
         return _meager_on_graphs(a, _wide_vertices(a), DEFAULT_CAP)
-    if reach is None:
-        reach = _reach(a, "f", DEFAULT_CAP, mode)
-    for elem, wit in reach.items():
-        if elem.cyclic:
-            for i, v in enumerate(elem.diagonal()):
-                if v == WIDE:
-                    return MeagerReport(False, *_witnesses((wit, (i, i), "f")))
+    return _meager_on(_cycles(a, "f", DEFAULT_CAP, mode)[1] if reach is None
+                      else _cycles_of(reach))
+
+
+def _meager_on(cycles: list) -> MeagerReport:
+    """Meager iff no cyclic f element has a wide diagonal entry."""
+    for q, m, wit in cycles:
+        for i, row in enumerate(m):
+            if row[i] == WIDE:
+                return MeagerReport(False, *_witnesses((wit, (i, i), "f")))
     return MeagerReport(True, None)
 
 
@@ -455,34 +471,27 @@ def is_structurally_obese(a: RegionSplitAutomaton, mode: str = "bfs",
     The return is read off the support of the duration orbits, which is the
     reachability orbit, so `reach_p` is ignored; it is kept only for callers
     that still pass it."""
-    if reach_d is None:
-        reach_d = _reach(a, "d", DEFAULT_CAP, mode)
-    for elem, wit in reach_d.items():
-        if elem.cyclic:
-            for i, val in enumerate(elem.diagonal()):
-                if val == FAST:
-                    return ObeseReport(True, "I", _witnesses((wit, (i, i), "d")))
-    for elem, wit in reach_d.items():
-        if not elem.cyclic:
-            continue
-        for (u, v) in _type2_positions(elem):
-            for other, wit2 in reach_d.items():
-                if other.cyclic and other.src == elem.src and other.entry(v, u) != 0:
+    return _obese_on(_cycles(a, "d", DEFAULT_CAP, mode)[1] if reach_d is None
+                     else _cycles_of(reach_d))
+
+
+def _obese_on(cycles: list) -> ObeseReport:
+    """Obesity from the cyclic d elements.  Type II looks each return (q, v, u)
+    up in one index, built in reverse so that it keeps the first witness."""
+    for q, m, wit in cycles:
+        for i, row in enumerate(m):
+            if row[i] == FAST:
+                return ObeseReport(True, "I", _witnesses((wit, (i, i), "d")))
+    returns = {(q, v, u): wit for q, m, wit in reversed(cycles)
+               for v, row in enumerate(m) for u, val in enumerate(row) if val}
+    for q, m, wit in cycles:
+        instants = [u for u, row in enumerate(m) if row[u] == INSTANT]
+        for u in instants:
+            for v in instants:
+                if m[u][v] == SLOW and (q, v, u) in returns:
                     return ObeseReport(True, "II", _witnesses(
-                        (wit, (u, v), "d"), (wit2, (v, u), "p")))
+                        (wit, (u, v), "d"), (returns[q, v, u], (v, u), "p")))
     return ObeseReport(False)
-
-
-def _type2_positions(elem: OrbitElement) -> list[tuple[int, int]]:
-    diag = elem.diagonal()
-    out = []
-    for u, du in enumerate(diag):
-        if du != INSTANT:
-            continue
-        for v, dv in enumerate(diag):
-            if v != u and dv == INSTANT and elem.entry(u, v) == SLOW:
-                out.append((u, v))
-    return out
 
 
 def is_thick(a: RegionSplitAutomaton, reach=None) -> ThickReport:
@@ -498,26 +507,27 @@ def is_thick(a: RegionSplitAutomaton, reach=None) -> ThickReport:
     one vertex.
     """
     if reach is not None and next(iter(reach)).kind == "f":
-        for elem, wit in reach.items():
-            if (elem.cyclic and all(v != 0 for row in elem.matrix for v in row)
-                    and (len(elem.matrix) > 1 or elem.entry(0, 0) == WIDE)):
-                return ThickReport(True, *_witnesses((wit, (0, 0), "p")))
-        return ThickReport(False, None)
-    if reach is None:
-        reach = saturate(a, "d")
-    return _thick_on_support(a, reach, _wide_vertices(a), DEFAULT_CAP)
+        return _complete_on(_cycles_of(reach))
+    cycles = _cycles_of(reach) if reach else _cycles(a, "d", DEFAULT_CAP, "bfs")[1]
+    return _thick_on_support(a, cycles, _wide_vertices(a), DEFAULT_CAP)
 
 
-def _thick_on_support(a: RegionSplitAutomaton, reach,
+def _complete_on(cycles: list) -> ThickReport:
+    """Thick iff a cyclic f element has no zero entry (and is wide on one vertex)."""
+    for q, m, wit in cycles:
+        if all(v for row in m for v in row) and (len(m) > 1 or m[0][0] == WIDE):
+            return ThickReport(True, *_witnesses((wit, (0, 0), "p")))
+    return ThickReport(False, None)
+
+
+def _thick_on_support(a: RegionSplitAutomaton, cycles: list,
                       wide: set[tuple[str, int]], cap: int) -> ThickReport:
-    """Thickness from the first complete cyclic element of `reach` on two or
+    """Thickness from the first cyclic element with no zero entry on two or
     more vertices and the least wide cycle at a single-vertex location, no
     longer than that element's witness; the witness is the lesser cycle, by
     length and then by edge order."""
-    complete = next((elem for elem in reach
-                     if elem.cyclic and len(elem.matrix) > 1
-                     and all(v != 0 for row in elem.matrix for v in row)), None)
-    cycle = None if complete is None else reach[complete]
+    cycle = next((wit for q, m, wit in cycles
+                  if len(m) > 1 and all(v for row in m for v in row)), None)
     single = {(q, i) for q, i in wide if len(a.location_vertices(q)) == 1}
     if single:
         hit = _least_wide_cycle(a, single, cap, None if cycle is None else len(cycle))
@@ -584,16 +594,16 @@ def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Ve
             "locations": 0, "regions": 0,
             "monoidSize": 0 if mode == "bfs" else None, "witnessMaxLen": 0,
             "wallTimeMs": int((time.monotonic() - t0) * 1000)})
-    reach_d = _reach(rsta, "d", cap, mode)
+    size, cycles = _cycles(rsta, "d", cap, mode)
     if mode == "bfs":
         wide = _wide_vertices(rsta)
         meager = _meager_on_graphs(rsta, wide, cap)
-        thick = _thick_on_support(rsta, reach_d, wide, cap)
+        thick = _thick_on_support(rsta, cycles, wide, cap)
     else:
-        reach_f = _reach(rsta, "f", cap, mode)
-        meager = is_structurally_meager(rsta, reach=reach_f)
-        thick = is_thick(rsta, reach=reach_f)
-    obese = is_structurally_obese(rsta, reach_d=reach_d)
+        cycles_f = _cycles(rsta, "f", cap, mode)[1]
+        meager = _meager_on(cycles_f)
+        thick = _complete_on(cycles_f)
+    obese = _obese_on(cycles)
     if meager.meager and obese.obese:
         raise ClassificationError(
             "structural meagerness and obesity both hold; this cannot happen")
@@ -612,7 +622,7 @@ def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Ve
     stats = {
         "locations": len(rsta.locations),
         "regions": len(set(rsta.regions.values())),
-        "monoidSize": len(reach_d) if mode == "bfs" else None,
+        "monoidSize": size if mode == "bfs" else None,
         "witnessMaxLen": max((len(w.cycle) for w in witnesses), default=0),
         "wallTimeMs": int((time.monotonic() - t0) * 1000),
     }

@@ -175,6 +175,10 @@ class TimedAutomaton:
     # -- bookkeeping ---------------------------------------------------------
 
     def validate(self) -> None:
+        for what, names in (("clock", self.clocks), ("letter", self.alphabet)):
+            for i, x in enumerate(names):
+                if x in names[:i]:
+                    raise TAError(f"duplicate {what} {x!r}")
         locs = set(self.locations)
         for e in self.edges:
             if e.src not in locs or e.dst not in locs:
@@ -441,6 +445,16 @@ class _LineParser:
     def done(self) -> bool:
         return self.pos >= len(self.toks)
 
+    def distinct(self, read, what: str) -> tuple[str, ...]:
+        """The rest of the line, read token by token, with no item twice."""
+        got: list[str] = []
+        while not self.done():
+            t = read()
+            if t in got:
+                self.error(f"duplicate {what} {t!r}")
+            got.append(t)
+        return tuple(got)
+
 
 def _parse_guard(p: _LineParser, stop_words: set[str]) -> Guard:
     atoms: list[ClockConstraint] = []
@@ -482,6 +496,7 @@ def parse_automaton(text: str):
     accepting: dict[str, Guard] = {}
     initial_raw: dict[str, dict[str, int]] = {}
     starting_lines: dict[str, str] = {}
+    heads: set[str] = set()
     edge_count = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -490,18 +505,16 @@ def parse_automaton(text: str):
             continue
         p = _LineParser(_tokens(line), lineno)
         head = p.take()
+        if head in ("automaton", "clocks", "alphabet"):
+            if head in heads:
+                p.error(f"duplicate {head!r} line")
+            heads.add(head)
         if head == "automaton":
             name = p.ident()
         elif head == "clocks":
-            got = []
-            while not p.done():
-                got.append(p.ident())
-            clocks = tuple(got)
+            clocks = p.distinct(p.ident, "clock")
         elif head == "alphabet":
-            got = []
-            while not p.done():
-                got.append(p.take())
-            alphabet = tuple(got)
+            alphabet = p.distinct(p.take, "letter")
         elif head == "location":
             loc = p.ident()
             if loc in locations:
@@ -513,6 +526,8 @@ def parse_automaton(text: str):
                     assigns: dict[str, int] = {}
                     while not p.done() and p.peek() != "accepting":
                         c = p.ident()
+                        if c in assigns:
+                            p.error(f"duplicate initial value for clock {c!r}")
                         p.expect("=")
                         assigns[c] = p.nat()
                         if p.peek() == ",":
@@ -550,6 +565,8 @@ def parse_automaton(text: str):
                 edges.append(Edge(f"d{edge_count}", src, dst, lbl, guard, resets))
         elif head == "starting":
             loc = p.ident()
+            if loc in starting_lines:
+                p.error(f"duplicate starting line for location {loc!r}")
             starting_lines[loc] = " ".join(p.toks[p.pos:])
         else:
             p.error(f"unknown directive {head!r}")

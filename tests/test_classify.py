@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from tempoclass.classify import (SaturationCapExceeded, _least_wide_cycle,
-                                 _level_sets, _wide_vertices,
+from tempoclass.classify import (ObeseReport, PatternWitness, SaturationCapExceeded,
+                                 _least_wide_cycle, _level_sets, _wide_vertices,
                                  classify, guards_bounded_nonpunctual,
                                  is_structurally_meager, is_structurally_obese,
                                  is_thick, saturate)
@@ -550,12 +550,39 @@ def test_meagerness_oracle_on_graphs(split_corpus):
     assert min(counts.values()) > len(subjects) // 10, counts
 
 
+def _obese_by_rescan(reach):
+    """Obesity as a scan of the d monoid `reach` that rescans the monoid for
+    every type-II candidate: the reference for the type-II return index."""
+    for elem, wit in reach.items():
+        if elem.cyclic:
+            for i, val in enumerate(elem.diagonal()):
+                if val == FAST:
+                    return ObeseReport(True, "I", (PatternWitness(wit, (i, i), "d"),))
+    for elem, wit in reach.items():
+        if not elem.cyclic:
+            continue
+        diag = elem.diagonal()
+        for u, du in enumerate(diag):
+            for v, dv in enumerate(diag):
+                if v == u or du != INSTANT or dv != INSTANT or elem.entry(u, v) != SLOW:
+                    continue
+                for other, wit2 in reach.items():
+                    if other.cyclic and other.src == elem.src and other.entry(v, u):
+                        return ObeseReport(True, "II", (PatternWitness(wit, (u, v), "d"),
+                                                        PatternWitness(wit2, (v, u), "p")))
+    return ObeseReport(False)
+
+
 def test_return_check_oracle_on_graphs(oracle_subjects):
     """Type II's return check reads the support of cyclic d elements.  Some
     cyclic d element at q has entry (v, u) nonzero iff (q, u) is reached
     from (q, v) in one or more steps of the vertex graph of the nonzero d
-    edge entries; both answers occur often among the subjects."""
+    edge entries; both answers occur often among the subjects.  The return
+    index of `is_structurally_obese` gives the type and both witnesses of a
+    scan that rescans d per candidate: of the 2,017 subjects, 340 are
+    obese I, 21 obese II and 1,656 not obese."""
     counts = {True: 0, False: 0}
+    outcomes = {"I": 0, "II": 0, None: 0}
     for rs in oracle_subjects:
         steps: dict[tuple[str, int], set[tuple[str, int]]] = {}
         for e in rs.edges:
@@ -563,7 +590,11 @@ def test_return_check_oracle_on_graphs(oracle_subjects):
             for v, row in enumerate(() if eo.is_zero else eo.matrix):
                 steps.setdefault((e.src, v), set()).update(
                     (e.dst, u) for u, entry in enumerate(row) if entry)
-        returns = {(x.src, v, u) for x in saturate(rs, "d") if x.cyclic
+        reach = saturate(rs, "d")
+        obese = is_structurally_obese(rs, reach_d=reach)
+        assert obese == _obese_by_rescan(reach), serialize_automaton(rs)
+        outcomes[obese.obesity_type] += 1
+        returns = {(x.src, v, u) for x in reach if x.cyclic
                    for v, row in enumerate(x.matrix)
                    for u, entry in enumerate(row) if entry}
         for q in rs.locations:
@@ -580,6 +611,7 @@ def test_return_check_oracle_on_graphs(oracle_subjects):
                     assert ((q, v, u) in returns) == hit, serialize_automaton(rs)
                     counts[hit] += 1
     assert min(counts.values()) > sum(counts.values()) // 10, counts
+    assert all(outcomes.values()), outcomes
 
 
 def test_classify_witnesses_match_freedom_scan():
@@ -640,21 +672,37 @@ def test_reachability_monoid_is_smallest(split_corpus):
 
 
 @pytest.mark.parametrize("mode", ["bfs", "savitch"])
-def test_classify_builds_no_reachability_monoid(monkeypatch, mode):
+def test_classify_builds_no_reachability_monoid(monkeypatch, split_corpus, mode):
+    """`classify` searches d (and f in savitch) on interned ids, and builds
+    no `OrbitElement` once the edge table exists."""
     classify_module = importlib.import_module("tempoclass.classify")
     built = []
-    for fn in ("saturate", "_level_sets"):
+    for fn in ("_saturate_ids", "_level_set_ids"):
         def counting(a, kind, *args, _real=getattr(classify_module, fn), _fn=fn):
             built.append((_fn, kind))
             return _real(a, kind, *args)
 
         monkeypatch.setattr(classify_module, fn, counting)
-    expected = ([("saturate", "d")] if mode == "bfs"
-                else [("_level_sets", "d"), ("_level_sets", "f")])
-    for name in NAMES:
+    made = [0]
+    real_init = OrbitElement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made[0] += 1
+        real_init(self, *args, **kwargs)
+
+    expected = ([("_saturate_ids", "d")] if mode == "bfs"
+                else [("_level_set_ids", "d"), ("_level_set_ids", "f")])
+    for rs in split_corpus.values():
+        assert rs.edge_orbits
+    monkeypatch.setattr(OrbitElement, "__init__", counting_init)
+    for name, rs in split_corpus.items():
         built.clear()
-        classify(automaton(name), mode=mode)
+        classify(rs, mode=mode)
         assert sorted(built) == expected, name
+    assert made[0] == 0
+    # the counter is live
+    orbit_one("d")
+    assert made[0] == 1
 
 
 @pytest.mark.parametrize("mode", ["BFS", "savitchh", ""])

@@ -383,6 +383,10 @@ starting q ⌊x⌋=0
     pytest.param({"s.ta": ACCEPTING_UNKNOWN_CLOCK}, ["classify", "s.ta"],
                  "accepting guard of 'q' uses undeclared clock 'x'",
                  id="accepting-unknown-clock-classify"),
+    pytest.param({"dup.ta": "automaton dup\nclocks x x\nalphabet a\n"
+                  "location q initial accepting\nedge q -> q on a guard x < 1 reset x\n"},
+                 ["classify", "dup.ta"], "parse error: line 2, col 4: duplicate clock 'x'",
+                 id="clock-listed-twice"),
     pytest.param({"big.ta": BIG_CONSTANT}, ["--json", "classify", "big.ta"],
                  "region splitting exceeded the cap of 1000000",
                  id="region-split-over-cap"),
@@ -401,7 +405,7 @@ def test_bad_input_exits_with_message(capsys, corpus_dir, monkeypatch, files, ar
             (corpus_dir / name).write_text(text)
     code, _, err = run(capsys, *argv)
     assert code == 10
-    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.count("\n") == 1 and err.startswith(("error: ", "parse error: "))
     assert message in err
 
 

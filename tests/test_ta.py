@@ -4,8 +4,9 @@ import pytest
 
 from tempoclass.corpus import NAMES, automaton
 from tempoclass.ta import (RELATIONS, ClockConstraint, Guard, ParseError, State,
-                           TAError, check_deterministic, check_run, parse_automaton,
-                           relabel_deterministic, serialize_automaton, step)
+                           TAError, TimedAutomaton, check_deterministic, check_run,
+                           parse_automaton, relabel_deterministic, serialize_automaton,
+                           step)
 
 
 def test_parse_a6_shape():
@@ -56,12 +57,26 @@ def test_parse_errors():
         (head + "location p final\n", 5, "unexpected token 'final'"),
         (head + "edge q -> q on a after 1\n", 5, "unexpected token 'after'"),
         ("clocks x\nalphabet a\nlocation q initial\n", 1, "missing 'automaton' line"),
+        (head + "automaton y\n", 5, "duplicate 'automaton' line"),
+        (head + "clocks x\n", 5, "duplicate 'clocks' line"),
+        (head + "alphabet a\n", 5, "duplicate 'alphabet' line"),
+        ("automaton x\nclocks x y x\n", 2, "duplicate clock 'x'"),
+        ("automaton x\nclocks x\nalphabet a b a\n", 3, "duplicate letter 'a'"),
+        ("automaton x\nclocks x y\nalphabet a\nlocation q initial x = 1, y = 0, x = 2\n",
+         4, "duplicate initial value for clock 'x'"),
+        (head + "starting q ⌊x⌋=0, frac(x)=0\nstarting q ⌊x⌋=0, frac(x)=0\n", 6,
+         "duplicate starting line for location 'q'"),
     ]:
         with pytest.raises(ParseError) as raised:
             parse_automaton(text)
         assert raised.value.line == line and message in str(raised.value), text
     with pytest.raises(TAError, match="edge d1 uses undeclared location"):
         parse_automaton(head + "edge q -> p on a\n")
+    # automata built in code are checked for the same duplicates
+    for clocks, alphabet, message in [(("x", "x"), ("a",), "duplicate clock 'x'"),
+                                      (("x",), ("a", "b", "a"), "duplicate letter 'a'")]:
+        with pytest.raises(TAError, match=message):
+            TimedAutomaton("x", clocks, alphabet, ("q",), (), {}, {})
 
 
 def test_equality_sugar_desugars():
