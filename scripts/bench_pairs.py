@@ -20,8 +20,11 @@ won (ties count for neither side) and two verdicts:
 
 It also prints the failed and attempted operations of each side.  With
 ``--out FILE`` it also writes all of this, with every run's value, as
-JSON to FILE, rewritten after each workload.  Standard library only; a
-parent checkout can be made with ``git worktree add`` or ``git archive``.
+JSON to FILE, rewritten after each workload.  The exit status is 1 when
+some workload fails `workload_ok` (a metric reads ``REGRESSION``, either
+side's outputs are incorrect, or the change failed more operations than
+the parent) and 0 otherwise.  Standard library only; a parent checkout can
+be made with ``git worktree add`` or ``git archive``.
 """
 
 from __future__ import annotations
@@ -78,6 +81,16 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
             "change": {"values": change, "median": cm, "quartiles": [c1, c3]},
             "relative_change": rel, "wins": wins, "pairs": len(parent),
             "verdict": verdict}
+
+
+def workload_ok(entry: dict) -> bool:
+    """Whether one workload's results pass: no metric reads ``REGRESSION``,
+    both sides' outputs are correct, and the change failed no more
+    operations than the parent."""
+    ops = entry["operations"]
+    return (ops["parent"]["correct"] and ops["change"]["correct"]
+            and ops["change"]["failed"] <= ops["parent"]["failed"]
+            and not any("REGRESSION" in m["verdict"] for m in entry["metrics"].values()))
 
 
 def summary_line(name: str, s: dict) -> str:
@@ -137,7 +150,9 @@ def main(argv=None) -> int:
         report["workloads"][workload] = entry
         if args.out:
             args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    failed = [w for w, entry in report["workloads"].items() if not workload_ok(entry)]
+    print("FAIL: " + ", ".join(failed) if failed else "pass")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

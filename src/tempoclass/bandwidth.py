@@ -84,8 +84,7 @@ def _compile_slice(a, duration: Fraction, grid: Fraction, cap: int) -> Optional[
     _power_of_two_grid(grid)
     if duration < 0:
         raise TAError(f"duration bound must not be negative, got {duration}")
-    if cap < 1:
-        raise TAError(f"word cap must be a positive integer, got {cap}")
+    _check_word_cap(cap)
     if duration % grid != 0:
         raise TAError("duration bound must be a multiple of the grid")
     if not a.locations:
@@ -325,6 +324,11 @@ def _grid_units(t: Fraction, grid: Fraction) -> int:
     return num // den
 
 
+def _check_word_cap(cap: int) -> None:
+    if cap < 1:
+        raise TAError(f"word cap must be a positive integer, got {cap}")
+
+
 def _positive_eps(eps) -> Fraction:
     eps = Fraction(eps)
     if eps <= 0:
@@ -486,8 +490,9 @@ def bandwidth_curve(a, durations: Sequence[Fraction], epss: Sequence[Fraction],
         except OverflowError:
             raise TAError("duration bound is too large for a float") from None
     epss = [_positive_eps(eps) for eps in epss]
-    # every grid is checked before anything is enumerated, so a bad grid
-    # fails even when an earlier slice would stop the curve at the word cap
+    _check_word_cap(cap)
+    # the cap and every grid are checked before any slice, so a bad one fails
+    # even when no duration aligns with a grid or a slice stops the curve
     by_grid: dict[Fraction, list[int]] = {}
     for k, eps in enumerate(epss):
         g = _checked_grid(eps, grid)

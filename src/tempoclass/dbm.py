@@ -10,9 +10,9 @@ so a query between integer vertices, which is every query the
 `path_orbit_direct` oracle makes, builds and closes a matrix of plain `int`s.
 `Fraction` inputs mix in exactly: the entries they touch become `Fraction`s.
 
-No runtime path builds a DBM: the edge orbit table reads each edge off one
-delay interval (`orbits._edge_classes`).  This module is the reference that
-`path_orbit_direct` and the tests compare against.
+No runtime path builds a DBM or a `LanguageClass`: the edge table maps each
+edge's delay interval to its entries (`orbits._edge_entries`).  This module
+is the reference that `path_orbit_direct` and the tests compare against.
 """
 
 from __future__ import annotations

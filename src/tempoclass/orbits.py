@@ -8,7 +8,9 @@ Three abstractions of a path, all matrices indexed by source-region vertices
 * kind "d": duration class: 0 / instant / fast (spans [0,1]) / slow (>= 1).
 
 Entries compose through semiring matrix products, which agrees with whole-path
-evaluation because the per-edge languages concatenate exactly.
+evaluation because the per-edge languages concatenate exactly.  An edge's
+entries come from one integer delay interval per vertex pair, mapped to all
+three kinds at once by `_entries`, the mapping the DBM oracle also uses.
 
 An orbit element is a slotted value object, immutable by convention, whose
 hash is computed once when it is built.  Each kind has one zero element,
@@ -26,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import TopologicalSorter
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
-from .dbm import Interval, LanguageClass, language_class
+from .dbm import LanguageClass, language_class
 from .regions import Region, barycentric_coordinates
 
 ZERO = 0
@@ -196,35 +198,29 @@ def _row_times(kind: str, a_row: tuple[int, ...], b: Matrix) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _entries(singleton: bool, lo) -> tuple[int, int, int]:
+    """The p, f and d entries of a non-empty closed language: one timed word
+    (`singleton`) or a wide set, whose durations start at `lo`."""
+    return (ONE_P, NARROW if singleton else WIDE,
+            INSTANT if singleton and lo == 0 else SLOW if lo >= 1 else FAST)
+
+
 def _entry_value(kind: str, lc: LanguageClass) -> int:
-    if lc.empty:
-        return ZERO
-    if kind == "p":
-        return ONE_P
-    if kind == "f":
-        return NARROW if lc.kind == "singleton" else WIDE
-    dur = lc.duration
-    assert dur is not None
-    if lc.kind == "singleton" and dur.lo == 0:
-        return INSTANT
-    if dur.lo >= 1:
-        return SLOW
-    return FAST
+    return ZERO if lc.empty else \
+        _entries(lc.kind == "singleton", lc.duration.lo)[KINDS.index(kind)]
 
 
-def _edge_classes(automaton, e) -> list[list[LanguageClass]]:
-    """Language class of edge `e` from each vertex x of its source region
-    (rows) to each vertex y of its target region (columns).  For one edge
-    the closed language is one interval of the delay t: t >= 0, each guarded
-    clock c keeps x_c + t in the closure [lo, hi] of its window, and each
-    clock the edge keeps ends at y_c = x_c + t.  A reset clock ends at 0, so
-    the pair is empty unless y_c = 0.  Guard windows and vertices are
-    `int`s, so the interval is too."""
+def _edge_entries(automaton, e) -> Iterator[list[tuple[int, int, int]]]:
+    """Yield the rows of edge `e`'s (p, f, d) entries: one row per vertex x
+    of its source region, one entry per vertex y of its target region.  The
+    closed language is one interval [lo, hi] of the delay t: t >= 0, each
+    guarded clock c keeps x_c + t in the closure of its window, each kept
+    clock ends at y_c = x_c + t, and a reset clock at 0, so the pair is
+    empty unless y_c = 0.  Windows and vertices are `int`s, so lo and hi are."""
     index = automaton.clock_index
     windows = [(index(c), lo, hi) for c, (lo, _, hi, _) in e.guard.windows.items()]
     resets = [index(c) for c in e.resets]
     kept = [c for c in range(len(automaton.clocks)) if c not in resets]
-    rows = []
     for x in automaton.location_vertices(e.src):
         row = []
         for y in automaton.location_vertices(e.dst):
@@ -232,13 +228,9 @@ def _edge_classes(automaton, e) -> list[list[LanguageClass]]:
             lo = max([0, *pins, *(w_lo - x[c] for c, w_lo, _ in windows)])
             hi = min([*pins, *(w_hi - x[c] for c, _, w_hi in windows if w_hi is not None)],
                      default=None)
-            if any(y[c] for c in resets) or (hi is not None and lo > hi):
-                row.append(LanguageClass("empty"))
-            else:
-                row.append(LanguageClass("singleton" if lo == hi else "wide",
-                                         Interval(lo, hi)))
-        rows.append(row)
-    return rows
+            empty = any(y[c] for c in resets) or (hi is not None and lo > hi)
+            row.append((ZERO, ZERO, ZERO) if empty else _entries(lo == hi, lo))
+        yield row
 
 
 EdgeOrbitTable = dict[str, dict[str, OrbitElement]]
@@ -246,14 +238,14 @@ EdgeOrbitTable = dict[str, dict[str, OrbitElement]]
 
 def edge_orbit_table(automaton) -> EdgeOrbitTable:
     """Orbit of every edge in every kind, keyed by kind and then by edge name
-    in `automaton.edges` order; a fresh table on every call
-    (`RegionSplitAutomaton.edge_orbits` keeps one).  Each edge's language
-    classes are read once and mapped to every kind."""
-    per_edge = [(e, _edge_classes(automaton, e)) for e in automaton.edges]
-    return {kind: {e.name: orbit_element(kind, e.src, [[_entry_value(kind, lc) for lc in row]
-                                                       for row in classes], e.dst)
-                   for e, classes in per_edge}
-            for kind in KINDS}
+    in `automaton.edges` order, each edge's entries read once; a fresh table
+    on every call (`RegionSplitAutomaton.edge_orbits` keeps one)."""
+    table: EdgeOrbitTable = {kind: {} for kind in KINDS}
+    for e in automaton.edges:
+        matrices = zip(*(zip(*row) for row in _edge_entries(automaton, e)))
+        for kind, matrix in zip(KINDS, matrices):
+            table[kind][e.name] = orbit_element(kind, e.src, matrix, e.dst)
+    return table
 
 
 def edge_orbit(automaton, edge, kind: str) -> OrbitElement:

@@ -3,10 +3,11 @@ starting constraint and every edge is exact between regions.
 
 The construction folds two steps into one forward exploration: locations are
 annotated with the set of clocks that ran above the max constant (such clocks
-are force-reset on entry and guards read them as above it), and
-split by the region their entry vectors inhabit.  Edge guards are refined to
-pin the exact region in which the original guard is crossed, which keeps the
-result deterministic and makes every edge's successor relation exact.
+are force-reset on entry and guards read them as above it), and split by the
+region their entry vectors inhabit.  Edge guards are refined to pin the exact
+region in which the original guard is crossed, which keeps the result
+deterministic and makes every edge's successor relation exact.  A guard is
+decided on a region from its windows (`_guard_on`), not from its atoms.
 """
 
 from __future__ import annotations
@@ -62,24 +63,23 @@ def region_pins(clocks: tuple[str, ...], region: Region) -> Guard:
     return Guard(tuple(atoms))
 
 
-def _guard_on(region: Region, atoms, clocks, large: frozenset[str]) -> bool:
-    """Whether every atom holds throughout `region`, decided from each
-    clock's integer part and zero-fraction flag.  Atom bounds must not
-    exceed the region's bound, so a clock above it satisfies exactly the
-    lower bounds; a clock in `large` ran above it before a forced reset and
-    reads as above it.  A clock with integer part i and a positive fraction
-    lies in (i, i+1), below k iff i < k and above it iff i >= k."""
+def _guard_on(region: Region, guard: Guard, index, large: frozenset[str]) -> bool:
+    """Whether `guard` holds throughout `region`, from each window and the
+    clock's integer part i and zero-fraction flag.  Bounds are at most the
+    region's bound, so a clock above it (or in `large`: above it before a
+    forced reset) meets a window iff it has no upper bound.  Fraction 0 is
+    the point i; a positive one lies in (i, i+1), inside iff lo <= i < hi."""
     zero = region.zero_fraction
-    for a in atoms:
-        i = clocks.index(a.clock)
-        ip = None if a.clock in large else region.int_part[i]
-        upper = a.relation in ("<", "<=")
+    for c, (lo, lo_strict, hi, hi_strict) in guard.windows.items():
+        i = index(c)
+        ip = None if c in large else region.int_part[i]
         if ip is None:
-            ok = not upper
+            ok = hi is None
         elif i in zero:
-            ok = a.holds(ip)
+            ok = ((lo < ip or lo == ip and not lo_strict)
+                  and (hi is None or ip < hi or ip == hi and not hi_strict))
         else:
-            ok = (ip < a.bound) == upper
+            ok = lo <= ip and (hi is None or ip < hi)
         if not ok:
             return False
     return True
@@ -130,13 +130,12 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
         raise RegionSplitCapExceeded(
             cap, f"a time-successor chain may hold up to {chain_bound} regions")
 
-    clock_list = list(a.clocks)
     start_key: _Key = (q0, frozenset(), region_of(x0, bound))
 
     def is_accepting(key: _Key) -> bool:
         base, large, region = key
         g = a.accepting.get(base)
-        return g is not None and _guard_on(region, g.atoms, clock_list, large)
+        return g is not None and _guard_on(region, g, a.clock_index, large)
 
     # forward exploration
     succ: dict[_Key, list[tuple[Edge, Region, frozenset[str], _Key]]] = {}
@@ -156,7 +155,7 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
         for e in a.edges_from(base):
             resets = frozenset(e.resets)
             for fired in chain:
-                if not _guard_on(fired, e.guard.atoms, clock_list, large):
+                if not _guard_on(fired, e.guard, a.clock_index, large):
                     continue
                 newly = frozenset(
                     c for i, c in enumerate(a.clocks)
@@ -228,10 +227,9 @@ def check_exact_edges(a: RegionSplitAutomaton) -> None:
     for e in a.edges:
         a.location_vertices(e.src)
         a.location_vertices(e.dst)
-    clocks = list(a.clocks)
     for e in a.edges:
         fired = [r for r in time_successor_chain(a.regions[e.src])
-                 if _guard_on(r, e.guard.atoms, clocks, frozenset())]
+                 if _guard_on(r, e.guard, a.clock_index, frozenset())]
         if len(fired) != 1:
             raise TAError(f"edge {e.name} is not exact: it fires from {len(fired)} "
                           "regions of its source region's time-successor chain")

@@ -415,8 +415,8 @@ class _LineParser:
     def error(self, msg: str):
         raise ParseError(msg, self.lineno, self.pos + 1)
 
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def peek(self, ahead: int = 0) -> Optional[str]:
+        return self.toks[self.pos + ahead] if self.pos + ahead < len(self.toks) else None
 
     def take(self) -> str:
         if self.pos >= len(self.toks):
@@ -457,11 +457,12 @@ class _LineParser:
 
 
 def _parse_guard(p: _LineParser, stop_words: set[str]) -> Guard:
+    """Atoms up to the end of the line or a stop word no relation follows."""
     atoms: list[ClockConstraint] = []
-    while not p.done() and p.peek() not in stop_words:
+    while not p.done() and (p.peek() not in stop_words or p.peek(1) in (*RELATIONS, "=")):
         clock = p.ident()
         rel = p.take()
-        if rel not in ("<", "<=", ">", ">=", "="):
+        if rel not in (*RELATIONS, "="):
             p.error(f"expected relation, found {rel!r}")
         bound = p.nat()
         if rel == "=":
@@ -546,20 +547,24 @@ def parse_automaton(text: str):
             while p.peek() == ",":
                 p.take()
                 labels.append(p.take())
-            guard = TRUE_GUARD
-            resets: frozenset[str] = frozenset()
+            parts: dict[str, object] = {}
             while not p.done():
                 kw = p.take()
+                if kw not in ("guard", "reset"):
+                    p.error(f"unexpected token {kw!r}")
+                if kw in parts:
+                    p.error(f"duplicate {kw!r} on one edge line")
                 if kw == "guard":
-                    guard = _parse_guard(p, {"reset"})
-                elif kw == "reset":
+                    parts[kw] = _parse_guard(p, {"guard", "reset"})
+                else:
                     got = [p.ident()]
                     while p.peek() == ",":
                         p.take()
                         got.append(p.ident())
-                    resets = frozenset(got)
-                else:
-                    p.error(f"unexpected token {kw!r}")
+                        if got[-1] in got[:-1]:
+                            p.error(f"duplicate clock {got[-1]!r}")
+                    parts[kw] = frozenset(got)
+            guard, resets = parts.get("guard", TRUE_GUARD), parts.get("reset", frozenset())
             for lbl in labels:
                 edge_count += 1
                 edges.append(Edge(f"d{edge_count}", src, dst, lbl, guard, resets))

@@ -196,6 +196,15 @@ def test_grid_validation():
         enumerate_words(automaton("a5"), F(2), F(1, 2), cap=0)
 
 
+def test_curve_checks_word_cap_before_any_slice():
+    """The curve rejects a word cap below 1 up front, with `_compile_slice`'s
+    message, also when no duration aligns with the grid and so no slice is
+    compiled."""
+    for durations in ([F(1, 3)], [F(1)]):
+        with pytest.raises(TAError, match="^word cap must be a positive integer, got 0$"):
+            bandwidth_curve(automaton("a3"), durations, [F(1, 2)], cap=0)
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_grid_words_match_enumerate_words(name):
     """The integer enumerator behind the curve gives `enumerate_words`'s

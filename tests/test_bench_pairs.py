@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,33 @@ def test_summarize_higher_is_better():
     assert s["verdict"] == ["unresolved"]
     s = bench_pairs.summarize(metric, PARENT, [v / 2 for v in PARENT])
     assert s["verdict"] == ["REGRESSION"]
+
+
+def _run(value: float, failed: int = 0, correct: bool = True) -> dict:
+    return {"metrics": {"pass_s": {"value": value}}, "failed": failed,
+            "attempted": 10, "correct": correct}
+
+
+@pytest.mark.parametrize("parent, change, status", [
+    (_run(1.0), _run(1.01), 0),
+    (_run(1.0, failed=2), _run(1.0, failed=2), 0),
+    (_run(1.0), _run(1.5), 1),
+    (_run(1.0), _run(1.0, correct=False), 1),
+    (_run(1.0, correct=False), _run(1.0), 1),
+    (_run(1.0, failed=1), _run(1.0, failed=2), 1),
+], ids=["clean", "same-failures", "regression", "change-incorrect",
+        "parent-incorrect", "more-failures"])
+def test_exit_status(tmp_path, monkeypatch, capsys, parent, change, status):
+    """`main` exits 1 on a regression, on incorrect outputs on either side
+    and when the change fails more operations than the parent."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "corpus"}], "end_to_end": [PASS_S]}))
+    runs = {"parent": parent, "change": change}
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, workload, seed: runs[checkout.name])
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--pairs", "3"]
+    assert bench_pairs.main(argv) == status
+    assert capsys.readouterr().out.splitlines()[-1] == ("pass" if status == 0
+                                                          else "FAIL: corpus")

@@ -290,21 +290,31 @@ def test_orbit_element_value_semantics(split_corpus):
 
 @pytest.mark.parametrize("mode", ["bfs", "savitch", "standalone"])
 def test_classify_builds_edge_languages_once(monkeypatch, mode):
-    """The edge table reads each edge off one delay interval, so no check
-    builds a DBM; only the `path_orbit_direct` oracle does."""
+    """The edge table maps each edge's delay interval straight to its p, f
+    and d entries, so no check builds a DBM or a `LanguageClass`; only the
+    `path_orbit_direct` oracle does."""
     # the package's classify() shadows the submodule name, so modules are
     # fetched by import path
     orbits = importlib.import_module("tempoclass.orbits")
+    dbm = importlib.import_module("tempoclass.dbm")
     real = orbits.language_class
+    real_init = dbm.LanguageClass.__init__
     calls = [0]
+    classes = [0]
 
     def counting(*args):
         calls[0] += 1
         return real(*args)
 
+    def counting_init(self, *args, **kwargs):
+        classes[0] += 1
+        real_init(self, *args, **kwargs)
+
     monkeypatch.setattr(orbits, "language_class", counting)
+    monkeypatch.setattr(dbm.LanguageClass, "__init__", counting_init)
     if mode == "standalone":
         fresh = region_split(automaton("a2"))
+        edge_orbit_table(fresh)
         for kind in ("p", "f", "d"):
             saturate(fresh, kind)
         assert is_structurally_obese(fresh, mode="savitch").obesity_type == "II"
@@ -316,11 +326,11 @@ def test_classify_builds_edge_languages_once(monkeypatch, mode):
     e, f = next((e, f) for e in fresh.edges for f in fresh.edges_from(e.dst))
     assert not path_orbit(fresh, [e, f], "d").is_zero
     closed_successor(fresh, fresh.regions[e.src], e)
-    assert calls[0] == 0
-    # the counter is live: the oracle reaches it once per vertex pair
+    assert calls[0] == classes[0] == 0
+    # the counters are live: the oracle reaches them once per vertex pair
     path_orbit_direct(fresh, [e, f], "d")
-    assert calls[0] == (len(fresh.location_vertices(e.src))
-                        * len(fresh.location_vertices(f.dst)))
+    pairs = len(fresh.location_vertices(e.src)) * len(fresh.location_vertices(f.dst))
+    assert calls[0] == classes[0] == pairs
 
 
 def test_saturation_cap():

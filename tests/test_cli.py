@@ -313,6 +313,16 @@ starting q ⌊x⌋=0
     pytest.param({}, ["bandwidth", "a6.ta", "--T", "2", "--eps", "1/2",
                           "--word-cap", "0"],
                  "word cap must be a positive integer", id="word-cap-zero"),
+    pytest.param({}, ["bandwidth", "a3.ta", "--T", "1/3", "--eps", "1/2",
+                          "--word-cap", "0"],
+                 "word cap must be a positive integer, got 0",
+                 id="word-cap-zero-no-aligned-duration"),
+    pytest.param({"dup.ta": "automaton dup\nclocks x y\nalphabet a\n"
+                  "location q initial accepting\n"
+                  "edge q -> q on a guard x < 1 reset x guard y < 2\n"},
+                 ["validate", "dup.ta"],
+                 "parse error: line 5, col 14: duplicate 'guard' on one edge line",
+                 id="edge-guard-twice"),
     pytest.param({"w.tw": "a 1/0\n"}, ["distance", "w.tw", "u.tw"],
                  "bad word file", id="word-date-zero-denominator"),
     pytest.param({"w.tw": "a\n"}, ["distance", "u.tw", "w.tw"],

@@ -187,24 +187,37 @@ def test_reset_matches_sampling_oracle(rng):
 
 
 def test_guard_on_matches_representative(rng):
-    """Each atom is decided from integer parts and zero-fraction flags alone,
-    as `Guard.holds` decides it at the region's representative, for atom
-    bounds up to the region's bound; a clock in `large` is decided as if it
-    were above the bound."""
+    """Each clock's window is decided from integer parts and zero-fraction
+    flags alone, as `Guard.holds` decides the atoms at the region's
+    representative, for bounds up to the region's bound; a clock in `large`
+    is decided as if it were above the bound.  Some draws add an empty
+    window, such as `x > 2, x < 2` or `x >= 1, x < 1`, which no region meets."""
     clocks = ["x", "y", "z"]
+    empty = 0
     for _ in range(2000):
         bound = rng.randrange(0, 4)
         n = rng.randrange(1, 4)
         point = tuple(F(rng.randrange(0, (bound + 2) * 4), 4) for _ in range(n))
         region = region_of(point, bound)
         large = frozenset(c for c in clocks[:n] if rng.random() < 0.3)
-        atoms = tuple(ClockConstraint(rng.choice(clocks[:n]), rng.choice(RELATIONS),
-                                      rng.randrange(0, bound + 1))
-                      for _ in range(rng.randrange(1, 4)))
+        atoms = [ClockConstraint(rng.choice(clocks[:n]), rng.choice(RELATIONS),
+                                 rng.randrange(0, bound + 1))
+                 for _ in range(rng.randrange(1, 4))]
+        if rng.random() < 0.3:
+            c, lo = rng.choice(clocks[:n]), rng.randrange(0, bound + 1)
+            lo_rel, hi_rel, hi = rng.choice((">", ">=")), rng.choice(("<", "<=")), \
+                rng.randrange(0, lo + 1)
+            if (lo_rel, hi_rel, hi) == (">=", "<=", lo):
+                hi_rel = "<"
+            atoms += [ClockConstraint(c, lo_rel, lo), ClockConstraint(c, hi_rel, hi)]
+            rng.shuffle(atoms)
+            empty += 1
+        guard = Guard(tuple(atoms))
         rep = dict(zip(clocks, region.representative()))
         rep.update((c, F(bound + 1)) for c in large)
-        assert _guard_on(region, atoms, clocks[:n], large) == Guard(atoms).holds(rep), \
+        assert _guard_on(region, guard, clocks.index, large) == guard.holds(rep), \
             (region, atoms, large)
+    assert empty > 400
 
 
 # -- region splitting -----------------------------------------------------------

@@ -56,6 +56,14 @@ def test_parse_errors():
         (head + "location q\n", 5, "duplicate location 'q'"),
         (head + "location p final\n", 5, "unexpected token 'final'"),
         (head + "edge q -> q on a after 1\n", 5, "unexpected token 'after'"),
+        (head + "edge q -> q on a guard x < 1 reset x guard x < 2\n", 5,
+         "duplicate 'guard' on one edge line"),
+        (head + "edge q -> q on a guard x < 1 guard x > 0\n", 5,
+         "duplicate 'guard' on one edge line"),
+        (head + "edge q -> q on a reset x reset x\n", 5,
+         "duplicate 'reset' on one edge line"),
+        (head.replace("clocks x", "clocks x y") + "edge q -> q on a reset x, y, x\n", 5,
+         "duplicate clock 'x'"),
         ("clocks x\nalphabet a\nlocation q initial\n", 1, "missing 'automaton' line"),
         (head + "automaton y\n", 5, "duplicate 'automaton' line"),
         (head + "clocks x\n", 5, "duplicate 'clocks' line"),
@@ -77,6 +85,21 @@ def test_parse_errors():
                                       (("x",), ("a", "b", "a"), "duplicate letter 'a'")]:
         with pytest.raises(TAError, match=message):
             TimedAutomaton("x", clocks, alphabet, ("q",), (), {}, {})
+
+
+def test_keyword_clock_names_in_guards():
+    """A `guard` or `reset` token that a relation follows names a clock, so a
+    second keyword on an edge line is an error but clocks with these names
+    still parse and round-trip."""
+    a = parse_automaton("automaton k\nclocks guard reset\nalphabet a\n"
+                        "location q initial accepting reset < 2\n"
+                        "edge q -> q on a guard reset < 1, guard = 2 reset guard, reset\n")
+    e, = a.edges
+    assert e.guard.text() == "reset < 1, guard <= 2, guard >= 2"
+    assert e.resets == {"guard", "reset"}
+    assert a.accepting["q"].text() == "reset < 2"
+    assert serialize_automaton(parse_automaton(serialize_automaton(a))) == \
+        serialize_automaton(a)
 
 
 def test_equality_sugar_desugars():
