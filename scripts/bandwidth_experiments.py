@@ -9,11 +9,15 @@ structural verdict rather than reconciled.
 """
 
 import json
+import sys
 import time
+from pathlib import Path
 
-from tempoclass.bandwidth import bandwidth_curve, curve_csv, fit_class
-from tempoclass.classify import classify
-from tempoclass.corpus import FIT_EPS, FIT_PLAN, automaton
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tempoclass.bandwidth import bandwidth_curve, curve_csv, fit_class  # noqa: E402
+from tempoclass.classify import classify  # noqa: E402
+from tempoclass.corpus import FIT_EPS, FIT_PLAN, automaton  # noqa: E402
 
 
 def main() -> None:

@@ -2,10 +2,14 @@
 """Classify the ten benchmark automata and print one table row apiece."""
 
 import json
+import sys
 import time
+from pathlib import Path
 
-from tempoclass.classify import classify
-from tempoclass.corpus import NAMES, automaton
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tempoclass.classify import classify  # noqa: E402
+from tempoclass.corpus import NAMES, automaton  # noqa: E402
 
 
 def main() -> None:

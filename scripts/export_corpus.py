@@ -2,9 +2,12 @@
 """Write the ten benchmark automata as .ta files for use with the CLI."""
 
 import argparse
+import sys
 from pathlib import Path
 
-from tempoclass.corpus import SOURCES
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tempoclass.corpus import SOURCES  # noqa: E402
 
 
 def main() -> None:

@@ -584,7 +584,9 @@ class ClassificationError(TAError):
 def classify(a: TimedAutomaton, cap: int = DEFAULT_CAP, mode: str = "bfs") -> Verdict:
     """Region-split, run both structural checks, attach the fatness verdict.
     `cap` bounds region splitting as well as each orbit monoid and the row
-    search."""
+    search, and must be a positive integer."""
+    if cap < 1:
+        raise TAError(f"cap must be a positive integer, got {cap}")
     t0 = time.monotonic()
     rsta = as_region_split(a, cap)
     _check_mode(mode)

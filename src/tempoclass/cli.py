@@ -195,8 +195,6 @@ def _expand_paths(rsta, wanted: list[str]) -> list[list]:
 
 def cmd_classify(args) -> int:
     a, digest = _load_automaton(args.file)
-    if args.cap < 1:
-        raise UsageError(f"cap must be a positive integer, got {args.cap}")
     verdict = classify(a, cap=args.cap, mode=args.mode)
     result = verdict.to_json()
     human = [f"class: {verdict.classification}"
@@ -318,9 +316,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return ERROR_EXIT
     except ParseError as ex:
         print(f"parse error: {ex}", file=sys.stderr)
         return ERROR_EXIT

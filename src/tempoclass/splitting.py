@@ -8,6 +8,8 @@ region their entry vectors inhabit.  Edge guards are refined to pin the exact
 region in which the original guard is crossed, which keeps the result
 deterministic and makes every edge's successor relation exact.  A guard is
 decided on a region from its windows (`_guard_on`), not from its atoms.
+A file's `starting` lines arrive as the atoms the parser read, which
+`_parse_region_expr` sorts into a region.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property
 from .orbits import EdgeOrbitTable, _tarjan, _topological_order, edge_orbit_table
 from .regions import Region, region_of, time_successor_chain
 from .ta import (TAError, TimedAutomaton, Edge, Guard, ClockConstraint,
-                 ClockVector, check_deterministic)
+                 ClockVector, _LineParser, check_deterministic)
 
 
 @dataclass
@@ -287,7 +289,7 @@ def _closed_image(a: RegionSplitAutomaton, region: Region, edge: Edge,
     return _face_region(hit, a.regions[there].bound)
 
 
-# -- region expressions (serialization) ------------------------------------------
+# -- region expressions --------------------------------------------------------
 
 
 def region_expr_text(a, region: Region) -> str:
@@ -312,95 +314,85 @@ def region_expr_text(a, region: Region) -> str:
     return ", ".join(atoms)
 
 
-def _parse_region_expr(expr: str, clocks: tuple[str, ...]
-                       ) -> tuple[Region, list[tuple[str, int]]]:
-    """The region an expression describes, and its `x>k` atoms with a literal
-    k as (clock, k): the caller checks that each k is the final bound.
+_WRAPS = (("⌊", "⌋", "floor"), ("floor(", ")", "floor"), ("frac(", ")", "frac"))
 
-    Raises `TAError` on an atom it cannot read and on atoms no region
-    satisfies: two integer parts for one clock, a fraction equal to both a
-    zero and a positive one, one fraction below an equal or a zero one, or
-    positive fractions that are not totally ordered.
+
+def _term(token: str) -> tuple[str, str]:
+    """A side of a region atom as (kind, name): `⌊x⌋` and `floor(x)` are
+    ("floor", "x"), `frac(x)` is ("frac", "x"), another token t is ("", t)."""
+    for opening, closing, kind in _WRAPS:
+        name = token[len(opening):-len(closing)]
+        if name and token == opening + name + closing:
+            return kind, name
+    return "", token
+
+
+def _parse_region_expr(p: _LineParser, atoms: list[tuple], clocks: tuple[str, ...]
+                       ) -> Region:
+    """The region a `starting` line's atoms describe.  Raises `ParseError` at
+    an atom it cannot read, at an unknown clock and at atoms no region
+    satisfies: two integer parts for one clock, a clock above the bound with
+    its integer part or fraction fixed, a fraction equal to both a zero and a
+    positive one, one fraction below an equal or a zero one.  Positive
+    fractions that are not totally ordered are an error at the line's first token.
     """
-    import re
     idx = {c: i for i, c in enumerate(clocks)}
 
-    def clock(name: str) -> int:
+    def clock(name: str, at: int) -> int:
         if name not in idx:
-            raise TAError(f"unknown clock {name!r} in region expression {expr!r}")
+            p.error(f"unknown clock {name!r} in a starting line", at)
         return idx[name]
 
     ints: dict[int, int] = {}
-    above: set[int] = set()
-    above_literal: list[tuple[str, int]] = []
+    above: dict[int, int] = {}  # clock -> index of its first `x>` atom
     zero: set[int] = set()
-    equal: list[tuple[int, int]] = []
-    less: list[tuple[int, int]] = []
+    equal: list[tuple[int, int, int]] = []  # (clock, clock, atom index)
+    less: list[tuple[int, int, int]] = []
     bound = 0
-    for raw in expr.split(","):
-        atom = raw.strip().replace(" ", "")
-        if not atom:
-            continue
-        m = re.fullmatch(r"⌊(\w+)⌋=(\d+)|floor\((\w+)\)=(\d+)", atom)
-        if m:
-            c = m.group(1) or m.group(3)
-            k = int(m.group(2) or m.group(4))
-            if ints.setdefault(clock(c), k) != k:
-                raise TAError(f"clock {c!r} has two integer parts in region "
-                              f"expression {expr!r}")
+    for at, lhs, rel, rhs in atoms:
+        (kind, name), (rkind, rname) = _term(lhs), _term(rhs)
+        if kind == "floor" and rel == "=" and rhs.isdecimal():
+            k = int(rhs)
+            if ints.setdefault(clock(name, at), k) != k:
+                p.error(f"clock {name!r} has two integer parts", at)
             bound = max(bound, k)
-            continue
-        m = re.fullmatch(r"(\w+)>(\d+|M)", atom)
-        if m:
-            c = m.group(1)
-            above.add(clock(c))
-            if m.group(2) != "M":
-                above_literal.append((c, int(m.group(2))))
-                bound = max(bound, int(m.group(2)))
-            continue
-        m = re.fullmatch(r"frac\((\w+)\)=0", atom)
-        if m:
-            zero.add(clock(m.group(1)))
-            continue
-        m = re.fullmatch(r"frac\((\w+)\)=frac\((\w+)\)", atom)
-        if m:
-            equal.append((clock(m.group(1)), clock(m.group(2))))
-            continue
-        m = re.fullmatch(r"frac\((\w+)\)<frac\((\w+)\)", atom)
-        if m:
-            less.append((clock(m.group(1)), clock(m.group(2))))
-            continue
-        raise TAError(f"bad region atom {raw.strip()!r}")
-    pinned = set(ints) | zero | {i for pair in equal + less for i in pair}
-    if above & pinned:
-        name = clocks[min(above & pinned)]
-        raise TAError(f"clock {name!r} is above the bound and also has its integer part "
-                      f"or fraction fixed in region expression {expr!r}")
-    for i, j in equal:
+        elif not kind and rel == ">" and (rhs == "M" or rhs.isdecimal()):
+            above.setdefault(clock(name, at), at)
+            bound = max(bound, 0 if rhs == "M" else int(rhs))
+        elif kind == "frac" and rel == "=" and rhs == "0":
+            zero.add(clock(name, at))
+        elif kind == "frac" and rel in ("=", "<") and rkind == "frac":
+            pair = (clock(name, at), clock(rname, at + 2), at)
+            (equal if rel == "=" else less).append(pair)
+        else:
+            p.error(f"bad region atom '{lhs}{rel}{rhs}'", at)
+    pinned = set(ints) | zero | {c for i, j, _ in equal + less for c in (i, j)}
+    if above.keys() & pinned:
+        i = min(above.keys() & pinned)
+        p.error(f"clock {clocks[i]!r} is above the bound and also has its integer "
+                "part or fraction fixed", above[i])
+    for i, j, at in equal:
         if (i in zero) != (j in zero):
-            raise TAError(f"frac({clocks[i]})=frac({clocks[j]}) equates a zero and a "
-                          f"positive fraction in region expression {expr!r}")
-    for i, j in less:
+            p.error(f"frac({clocks[i]})=frac({clocks[j]}) equates a zero and a "
+                    "positive fraction", at)
+    for i, j, at in less:
         if j in zero:
-            raise TAError(f"frac({clocks[i]})<frac({clocks[j]}) puts a fraction "
-                          f"below zero in region expression {expr!r}")
-    bounded = set(range(len(clocks))) - above
-    for i in bounded:
-        if i not in zero and ints.get(i, 0) + 1 > bound:
-            bound = ints.get(i, 0) + 1
+            p.error(f"frac({clocks[i]})<frac({clocks[j]}) puts a fraction below zero", at)
+    bounded = set(range(len(clocks))) - above.keys()
+    bound = max([bound] + [ints.get(i, 0) + 1 for i in bounded - zero])
     # the positive blocks are the SCCs of the symmetric frac(x)=frac(y) graph
     same: dict[int, list[int]] = {i: [] for i in bounded - zero}
-    for i, j in equal:
+    for i, j, _ in equal:
         if i not in zero:
             same[i].append(j)
             same[j].append(i)
     block = {i: comp for comp in map(frozenset, _tarjan(same)) for i in comp}
     before: dict[frozenset[int], set[frozenset[int]]] = {b: set() for b in block.values()}
-    for i, j in less:
+    for i, j, at in less:
         if i not in zero:
             if block[i] == block[j]:
-                raise TAError(f"frac({clocks[i]})<frac({clocks[j]}) orders two equal "
-                              f"fractions in region expression {expr!r}")
+                p.error(f"frac({clocks[i]})<frac({clocks[j]}) orders two equal "
+                        "fractions", at)
             before[block[j]].add(block[i])
     # the order is total iff an atom links each consecutive pair of blocks
     try:
@@ -408,24 +400,29 @@ def _parse_region_expr(expr: str, clocks: tuple[str, ...]
         if any(b1 not in before[b2] for b1, b2 in zip(ordered, ordered[1:])):
             raise ValueError
     except ValueError:
-        raise TAError("region expression does not totally order the fractional parts")
+        p.error("region expression does not totally order the fractional parts", 0)
     int_part = tuple(None if i in above else ints.get(i, 0) for i in range(len(clocks)))
-    return Region(bound, int_part, frozenset(zero), tuple(ordered)), above_literal
+    return Region(bound, int_part, frozenset(zero), tuple(ordered))
 
 
-def attach_starting_regions(ta: TimedAutomaton, lines: dict[str, str]) -> RegionSplitAutomaton:
-    """Rebuild a region-split automaton from parsed `starting` lines."""
+def attach_starting_regions(ta: TimedAutomaton,
+                            lines: dict[str, tuple[_LineParser, list[tuple]]]
+                            ) -> RegionSplitAutomaton:
+    """Rebuild a region-split automaton from the atoms of its `starting`
+    lines, each with the parser of its line, by location.  `x>k` with a
+    literal k must name the final bound."""
     if set(lines) != set(ta.locations):
         raise TAError("starting lines must cover every location exactly once")
-    parsed = {loc: _parse_region_expr(expr, ta.clocks) for loc, expr in lines.items()}
-    bound = max([ta.max_constant] + [r.bound for r, _ in parsed.values()])
-    for loc, (_, above_literal) in parsed.items():
-        for c, k in above_literal:
-            if k != bound:
-                raise TAError(f"{c}>{k} in the starting line of {loc!r} is below the "
-                              f"max constant {bound}; write {c}>M for a clock above it")
+    parsed = {loc: _parse_region_expr(p, atoms, ta.clocks)
+              for loc, (p, atoms) in lines.items()}
+    bound = max([ta.max_constant] + [r.bound for r in parsed.values()])
+    for loc, (p, atoms) in lines.items():
+        for at, c, rel, k in atoms:
+            if rel == ">" and k != "M" and int(k) != bound:
+                p.error(f"{c}>{k} in the starting line of {loc!r} is below the "
+                        f"max constant {bound}; write {c}>M for a clock above it", at)
     regions = {loc: Region(bound, r.int_part, r.zero_fraction, r.positive_blocks)
-               for loc, (r, _) in parsed.items()}
+               for loc, r in parsed.items()}
     rsta = RegionSplitAutomaton(
         ta.name, ta.clocks, ta.alphabet, ta.locations, ta.edges,
         dict(ta.initial), dict(ta.accepting), regions=regions)

@@ -5,6 +5,10 @@ point enters the semantics, so guard and region-membership tests are exact.
 Guards are read through one window per clock (`Guard.windows`) with `int`
 bounds.  Clocks are never negative, so `x <= 0` pins `x` to 0 as `x = 0`
 does, and `fatnessApplicable` reads both as punctual.
+
+The text format is read through one tokenizer, one keyword-section reader
+(`_sections`) and one `lhs relation rhs` atom reader (`_atoms`); a
+`ParseError` names the line and character column of the token it blames.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ class TAError(Exception):
 
 
 class ParseError(TAError):
-    def __init__(self, message: str, line: int = 0, column: int = 0):
-        super().__init__(f"line {line}, col {column}: {message}" if line else message)
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(f"line {line}, col {column}: {message}")
         self.line = line
         self.column = column
 
@@ -395,32 +399,34 @@ def relabel_deterministic(a: TimedAutomaton) -> tuple[TimedAutomaton, dict[str, 
 
 # -- parsing --------------------------------------------------------------------
 
-_NAT = re.compile(r"^\d+$")
 _ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_'.]*$")
-
-
 _TOKEN = re.compile(r"->|<=|>=|[<>=,]|[^\s<>=,]+")
-
-
-def _tokens(line: str) -> list[str]:
-    return _TOKEN.findall(line)
+_RELS = (*RELATIONS, "=")
 
 
 class _LineParser:
-    def __init__(self, tokens: list[str], lineno: int):
-        self.toks = tokens
+    """The tokens of one line with its comment cut off.  An error names the
+    character column where the token it blames starts (one past the last
+    token at the end of the line), found only when an error is raised."""
+
+    def __init__(self, line: str, lineno: int):
+        self.line = line
+        self.toks = _TOKEN.findall(line)
         self.pos = 0
         self.lineno = lineno
 
-    def error(self, msg: str):
-        raise ParseError(msg, self.lineno, self.pos + 1)
+    def error(self, msg: str, at: Optional[int] = None):
+        at = self.pos - 1 if at is None else at  # by default the token last taken
+        starts = [m.start() + 1 for m in _TOKEN.finditer(self.line)]
+        column = starts[at] if at < len(starts) else len(self.line.rstrip()) + 1
+        raise ParseError(msg, self.lineno, column)
 
     def peek(self, ahead: int = 0) -> Optional[str]:
         return self.toks[self.pos + ahead] if self.pos + ahead < len(self.toks) else None
 
     def take(self) -> str:
         if self.pos >= len(self.toks):
-            self.error("unexpected end of line")
+            self.error("unexpected end of line", self.pos)
         t = self.toks[self.pos]
         self.pos += 1
         return t
@@ -438,7 +444,7 @@ class _LineParser:
 
     def nat(self) -> int:
         t = self.take()
-        if not _NAT.match(t):
+        if not t.isdecimal():
             self.error(f"expected natural number, found {t!r}")
         return int(t)
 
@@ -456,29 +462,55 @@ class _LineParser:
         return tuple(got)
 
 
-def _parse_guard(p: _LineParser, stop_words: set[str]) -> Guard:
-    """Atoms up to the end of the line or a stop word no relation follows."""
-    atoms: list[ClockConstraint] = []
-    while not p.done() and (p.peek() not in stop_words or p.peek(1) in (*RELATIONS, "=")):
-        clock = p.ident()
-        rel = p.take()
-        if rel not in (*RELATIONS, "="):
+def _atoms(p: _LineParser, stop, lhs, rhs, loose: bool = False) -> list[tuple]:
+    """Atoms `lhs relation rhs` as (index of the first token, lhs, relation,
+    rhs) up to the end of the line or a word of `stop` no relation follows,
+    with an optional comma after each (`loose`: and stray commas skipped)."""
+    atoms: list[tuple] = []
+    while True:
+        while loose and p.peek() == ",":
+            p.take()
+        if p.done() or p.peek() in stop and p.peek(1) not in _RELS:
+            return atoms
+        i, left, rel = p.pos, lhs(), p.take()
+        if rel not in _RELS:
             p.error(f"expected relation, found {rel!r}")
-        bound = p.nat()
-        if rel == "=":
-            atoms.append(ClockConstraint(clock, "<=", bound))
-            atoms.append(ClockConstraint(clock, ">=", bound))
-        else:
-            atoms.append(ClockConstraint(clock, rel, bound))
+        atoms.append((i, left, rel, rhs()))
         if p.peek() == ",":
             p.take()
-    # reject equality sugar that contradicts other atoms on the same clock
-    guard = Guard(tuple(atoms))
-    eq_clocks = {a.clock for a in atoms if a.relation == "<="} & \
-                {a.clock for a in atoms if a.relation == ">="}
-    for c in eq_clocks:
-        if _window_point(guard.windows[c]) is None:
-            p.error(f"unsatisfiable equality constraints on clock {c!r}")
+
+
+def _sections(p: _LineParser, what: str, words: tuple[str, str]) -> dict[str, object]:
+    """Keyword sections up to the end of the line, in any order, each at most
+    once: `reset` takes a list of clocks, any other keyword a list of atoms."""
+    got: dict[str, object] = {}
+    while not p.done():
+        kw = p.take()
+        if kw not in words:
+            p.error(f"unexpected token {kw!r}")
+        if kw in got:
+            p.error(f"duplicate {kw!r} on one {what} line")
+        if kw == "reset":
+            clocks = [p.ident()]
+            while p.peek() == ",":
+                p.take()
+                clocks.append(p.ident())
+                if clocks[-1] in clocks[:-1]:
+                    p.error(f"duplicate clock {clocks[-1]!r}")
+            got[kw] = frozenset(clocks)
+        else:
+            got[kw] = _atoms(p, words, p.ident, p.nat)
+    return got
+
+
+def _guard(p: _LineParser, atoms: list[tuple]) -> Guard:
+    """The guard the atoms conjoin, `x = k` as `x <= k, x >= k`.  An atom
+    written with `=` whose clock the guard leaves no value is an error."""
+    guard = Guard(tuple(ClockConstraint(c, r, k) for _, c, rel, k in atoms
+                        for r in (("<=", ">=") if rel == "=" else (rel,))))
+    for i, c, rel, _ in atoms:
+        if rel == "=" and _window_point(guard.windows[c]) is None:
+            p.error(f"unsatisfiable equality constraints on clock {c!r}", i)
     return guard
 
 
@@ -493,18 +525,15 @@ def parse_automaton(text: str):
     alphabet: tuple[str, ...] = ()
     locations: list[str] = []
     edges: list[Edge] = []
-    initial: dict[str, ClockVector] = {}
     accepting: dict[str, Guard] = {}
-    initial_raw: dict[str, dict[str, int]] = {}
-    starting_lines: dict[str, str] = {}
+    initial_atoms: dict[str, tuple[_LineParser, list[tuple]]] = {}
+    starting: dict[str, tuple[_LineParser, list[tuple]]] = {}
     heads: set[str] = set()
-    edge_count = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        p = _LineParser(raw.split("#", 1)[0], lineno)
+        if p.done():
             continue
-        p = _LineParser(_tokens(line), lineno)
         head = p.take()
         if head in ("automaton", "clocks", "alphabet"):
             if head in heads:
@@ -521,23 +550,18 @@ def parse_automaton(text: str):
             if loc in locations:
                 p.error(f"duplicate location {loc!r}")
             locations.append(loc)
-            while not p.done():
-                kw = p.take()
-                if kw == "initial":
-                    assigns: dict[str, int] = {}
-                    while not p.done() and p.peek() != "accepting":
-                        c = p.ident()
-                        if c in assigns:
-                            p.error(f"duplicate initial value for clock {c!r}")
-                        p.expect("=")
-                        assigns[c] = p.nat()
-                        if p.peek() == ",":
-                            p.take()
-                    initial_raw[loc] = assigns
-                elif kw == "accepting":
-                    accepting[loc] = _parse_guard(p, set())
-                else:
-                    p.error(f"unexpected token {kw!r}")
+            parts = _sections(p, head, ("initial", "accepting"))
+            if "initial" in parts:
+                seen: set[str] = set()
+                for i, c, rel, _ in parts["initial"]:
+                    if rel != "=":
+                        p.error(f"expected '=', found {rel!r}", i + 1)
+                    if c in seen:
+                        p.error(f"duplicate initial value for clock {c!r}", i)
+                    seen.add(c)
+                initial_atoms[loc] = (p, parts["initial"])
+            if "accepting" in parts:
+                accepting[loc] = _guard(p, parts["accepting"])
         elif head == "edge":
             src = p.ident()
             p.expect("->")
@@ -547,48 +571,34 @@ def parse_automaton(text: str):
             while p.peek() == ",":
                 p.take()
                 labels.append(p.take())
-            parts: dict[str, object] = {}
-            while not p.done():
-                kw = p.take()
-                if kw not in ("guard", "reset"):
-                    p.error(f"unexpected token {kw!r}")
-                if kw in parts:
-                    p.error(f"duplicate {kw!r} on one edge line")
-                if kw == "guard":
-                    parts[kw] = _parse_guard(p, {"guard", "reset"})
-                else:
-                    got = [p.ident()]
-                    while p.peek() == ",":
-                        p.take()
-                        got.append(p.ident())
-                        if got[-1] in got[:-1]:
-                            p.error(f"duplicate clock {got[-1]!r}")
-                    parts[kw] = frozenset(got)
-            guard, resets = parts.get("guard", TRUE_GUARD), parts.get("reset", frozenset())
+            parts = _sections(p, head, ("guard", "reset"))
+            guard = _guard(p, parts["guard"]) if "guard" in parts else TRUE_GUARD
             for lbl in labels:
-                edge_count += 1
-                edges.append(Edge(f"d{edge_count}", src, dst, lbl, guard, resets))
+                edges.append(Edge(f"d{len(edges) + 1}", src, dst, lbl, guard,
+                                  parts.get("reset", frozenset())))
         elif head == "starting":
             loc = p.ident()
-            if loc in starting_lines:
+            if loc in starting:
                 p.error(f"duplicate starting line for location {loc!r}")
-            starting_lines[loc] = " ".join(p.toks[p.pos:])
+            starting[loc] = (p, _atoms(p, (), p.take, p.take, loose=True))
         else:
             p.error(f"unknown directive {head!r}")
 
     if name is None:
         raise ParseError("missing 'automaton' line", 1, 1)
-    for loc, assigns in initial_raw.items():
-        for c in assigns:
+    initial: dict[str, ClockVector] = {}
+    for loc, (p, atoms) in initial_atoms.items():
+        for i, c, _, _ in atoms:
             if c not in clocks:
-                raise ParseError(f"initial value for undeclared clock {c!r}")
-        initial[loc] = tuple(Fraction(assigns.get(c, 0)) for c in clocks)
+                p.error(f"initial value for undeclared clock {c!r}", i)
+        values = {c: k for _, c, _, k in atoms}
+        initial[loc] = tuple(Fraction(values.get(c, 0)) for c in clocks)
 
     ta = TimedAutomaton(name, clocks, alphabet, tuple(locations), tuple(edges),
                         initial, accepting)
-    if starting_lines:
+    if starting:
         from .splitting import attach_starting_regions
-        return attach_starting_regions(ta, starting_lines)
+        return attach_starting_regions(ta, starting)
     return ta
 
 

@@ -20,7 +20,7 @@ from conftest import (BIG_CONSTANT, MANY_CHAINS, OPEN_TICKER, RING3, RING3_Y2,
                       deterministic_draws)
 from tempoclass.splitting import (DEFAULT_CAP, RegionSplitCapExceeded, closed_successor,
                                   region_split)
-from tempoclass.ta import (ClockConstraint, Edge, Guard, TimedAutomaton,
+from tempoclass.ta import (ClockConstraint, Edge, Guard, TAError, TimedAutomaton,
                            parse_automaton, serialize_automaton)
 
 
@@ -408,6 +408,22 @@ def test_region_split_cap(monkeypatch):
     with pytest.raises(RegionSplitCapExceeded,
                        match="cap of 3: more region-split locations than the cap"):
         region_split(fan, 3)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_classify_checks_its_cap(monkeypatch, cap):
+    """A cap below 1 is refused before the region split, in both modes."""
+    classify_module = importlib.import_module("tempoclass.classify")
+
+    def no_split(*args):
+        raise AssertionError("region split before the cap check")
+
+    monkeypatch.setattr(classify_module, "as_region_split", no_split)
+    for mode in ("bfs", "savitch"):
+        with pytest.raises(TAError) as raised:
+            classify(automaton("a2"), cap=cap, mode=mode)
+        assert raised.type is TAError
+        assert str(raised.value) == f"cap must be a positive integer, got {cap}"
 
 
 def test_region_split_counts_regions_across_chains():

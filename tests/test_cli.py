@@ -321,7 +321,7 @@ starting q ⌊x⌋=0
                   "location q initial accepting\n"
                   "edge q -> q on a guard x < 1 reset x guard y < 2\n"},
                  ["validate", "dup.ta"],
-                 "parse error: line 5, col 14: duplicate 'guard' on one edge line",
+                 "parse error: line 5, col 38: duplicate 'guard' on one edge line",
                  id="edge-guard-twice"),
     pytest.param({"w.tw": "a 1/0\n"}, ["distance", "w.tw", "u.tw"],
                  "bad word file", id="word-date-zero-denominator"),
@@ -395,7 +395,7 @@ starting q ⌊x⌋=0
                  id="accepting-unknown-clock-classify"),
     pytest.param({"dup.ta": "automaton dup\nclocks x x\nalphabet a\n"
                   "location q initial accepting\nedge q -> q on a guard x < 1 reset x\n"},
-                 ["classify", "dup.ta"], "parse error: line 2, col 4: duplicate clock 'x'",
+                 ["classify", "dup.ta"], "parse error: line 2, col 10: duplicate clock 'x'",
                  id="clock-listed-twice"),
     pytest.param({"big.ta": BIG_CONSTANT}, ["--json", "classify", "big.ta"],
                  "region splitting exceeded the cap of 1000000",

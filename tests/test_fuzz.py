@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tempoclass.cli import main
 from tempoclass.corpus import SOURCES
-from tempoclass.ta import TAError, parse_automaton
+from tempoclass.ta import _TOKEN, ParseError, TAError, parse_automaton
 from tempoclass.words import parse_word
 
 LOCATIONS = ("q", "p")
@@ -92,8 +92,18 @@ FUZZ = settings(max_examples=300, deadline=None,
 @FUZZ
 @given(automaton_text())
 def test_parse_automaton_returns_or_raises_taerror(text):
+    """A `ParseError` names a line of the text and a column where one of its
+    tokens starts, or one past its last token (comments cut off)."""
     try:
         parse_automaton(text)
+    except ParseError as ex:
+        if str(ex) == "line 1, col 1: missing 'automaton' line":
+            return
+        lines = text.splitlines()
+        assert 1 <= ex.line <= len(lines), str(ex)
+        line = lines[ex.line - 1].split("#", 1)[0]
+        starts = {m.start() + 1 for m in _TOKEN.finditer(line)}
+        assert ex.column in starts | {len(line.rstrip()) + 1}, (line, str(ex))
     except TAError:
         pass
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from tempoclass.corpus import NAMES, automaton
-from tempoclass.ta import (RELATIONS, ClockConstraint, Guard, ParseError, State,
+from tempoclass.ta import (RELATIONS, ClockConstraint, Edge, Guard, ParseError, State,
                            TAError, TimedAutomaton, check_deterministic, check_run,
                            parse_automaton, relabel_deterministic, serialize_automaton,
                            step)
@@ -35,49 +35,77 @@ def test_parse_a8_shape():
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_automaton("automaton x\nbogus line\n")
+    """Each row fails at its line and at the character column where the
+    token it blames starts, or one past the last token at an end of line."""
     with pytest.raises(TAError):
         parse_automaton("automaton x\nclocks x\nalphabet a\nlocation q initial\n"
                         "edge q -> q on a guard z < 1\n")
     with pytest.raises(TAError):
         parse_automaton("automaton x\nclocks x\nalphabet a\nlocation q initial\n"
                         "edge q -> q on w\n")
-    with pytest.raises(ParseError):
-        parse_automaton("automaton x\nclocks x\nalphabet a\nlocation q initial\n"
-                        "edge q -> q on a guard x = 1, x = 2\n")
     head = "automaton x\nclocks x\nalphabet a\nlocation q initial\n"
-    for text, line, message in [
-        (head + "edge q ->\n", 5, "unexpected end of line"),
-        (head + "edge q q on a\n", 5, "expected '->', found 'q'"),
-        (head + "location 1p\n", 5, "expected identifier, found '1p'"),
-        (head + "location p initial x = y\n", 5, "expected natural number, found 'y'"),
-        (head + "edge q -> q on a guard x 1\n", 5, "expected relation, found '1'"),
-        (head + "location q\n", 5, "duplicate location 'q'"),
-        (head + "location p final\n", 5, "unexpected token 'final'"),
-        (head + "edge q -> q on a after 1\n", 5, "unexpected token 'after'"),
-        (head + "edge q -> q on a guard x < 1 reset x guard x < 2\n", 5,
+    two = head.replace("clocks x", "clocks x y")
+    for text, line, column, message in [
+        ("automaton x\nbogus line\n", 2, 1, "unknown directive 'bogus'"),
+        (head + "edge q ->\n", 5, 10, "unexpected end of line"),
+        (head + "edge q q on a\n", 5, 8, "expected '->', found 'q'"),
+        (head + "location 1p\n", 5, 10, "expected identifier, found '1p'"),
+        (head + "location p initial x = y\n", 5, 24, "expected natural number, found 'y'"),
+        (head + "location p initial x < 1\n", 5, 22, "expected '=', found '<'"),
+        (head + "edge q -> q on a guard x 1\n", 5, 26, "expected relation, found '1'"),
+        (head + "edge q -> q on a guard x = 1, x = 2\n", 5, 24,
+         "unsatisfiable equality constraints on clock 'x'"),
+        (head + "location q\n", 5, 10, "duplicate location 'q'"),
+        (head + "location p final\n", 5, 12, "unexpected token 'final'"),
+        (head + "edge q -> q on a after 1\n", 5, 18, "unexpected token 'after'"),
+        (head + "edge q -> q on a guard x < 1 reset x guard x < 2\n", 5, 38,
          "duplicate 'guard' on one edge line"),
-        (head + "edge q -> q on a guard x < 1 guard x > 0\n", 5,
+        (head + "edge q -> q on a guard x < 1 guard x > 0\n", 5, 30,
          "duplicate 'guard' on one edge line"),
-        (head + "edge q -> q on a reset x reset x\n", 5,
+        (head + "\tedge q -> q on a guard x < 1 guard x > 0  # two guards\n", 5, 31,
+         "duplicate 'guard' on one edge line"),
+        (head + "edge q -> q on a reset x reset x\n", 5, 26,
          "duplicate 'reset' on one edge line"),
-        (head.replace("clocks x", "clocks x y") + "edge q -> q on a reset x, y, x\n", 5,
-         "duplicate clock 'x'"),
-        ("clocks x\nalphabet a\nlocation q initial\n", 1, "missing 'automaton' line"),
-        (head + "automaton y\n", 5, "duplicate 'automaton' line"),
-        (head + "clocks x\n", 5, "duplicate 'clocks' line"),
-        (head + "alphabet a\n", 5, "duplicate 'alphabet' line"),
-        ("automaton x\nclocks x y x\n", 2, "duplicate clock 'x'"),
-        ("automaton x\nclocks x\nalphabet a b a\n", 3, "duplicate letter 'a'"),
+        (two + "edge q -> q on a reset x, y, x\n", 5, 30, "duplicate clock 'x'"),
+        (head + "location p initial initial\n", 5, 20,
+         "duplicate 'initial' on one location line"),
+        (head + "location p accepting x < 1 accepting\n", 5, 28,
+         "duplicate 'accepting' on one location line"),
+        ("clocks x\nalphabet a\nlocation q initial\n", 1, 1, "missing 'automaton' line"),
+        (head + "automaton y\n", 5, 1, "duplicate 'automaton' line"),
+        (head + "clocks x\n", 5, 1, "duplicate 'clocks' line"),
+        (head + "alphabet a\n", 5, 1, "duplicate 'alphabet' line"),
+        ("automaton x\nclocks x y x\n", 2, 12, "duplicate clock 'x'"),
+        ("automaton x\nclocks x\nalphabet a b a\n", 3, 14, "duplicate letter 'a'"),
         ("automaton x\nclocks x y\nalphabet a\nlocation q initial x = 1, y = 0, x = 2\n",
-         4, "duplicate initial value for clock 'x'"),
-        (head + "starting q ⌊x⌋=0, frac(x)=0\nstarting q ⌊x⌋=0, frac(x)=0\n", 6,
+         4, 34, "duplicate initial value for clock 'x'"),
+        ("automaton x\nalphabet a\nlocation q initial x = 0, y = 1\nclocks x\n",
+         3, 27, "initial value for undeclared clock 'y'"),
+        (head + "starting q ⌊x⌋=0, frac(x)=0\nstarting q ⌊x⌋=0, frac(x)=0\n", 6, 10,
          "duplicate starting line for location 'q'"),
+        (head + "starting q ⌊z⌋=0\n", 5, 12, "unknown clock 'z'"),
+        (head + "starting q frac(x)<frac(z)\n", 5, 20, "unknown clock 'z'"),
+        (head + "starting q ⌊x⌋=0, ⌊x⌋=1\n", 5, 19, "clock 'x' has two integer parts"),
+        (head + "starting q frac(x)=1\n", 5, 12, "bad region atom 'frac(x)=1'"),
+        (head + "starting q foo\n", 5, 15, "unexpected end of line"),
+        (head + "starting q x>M, frac(x)=0\n", 5, 12,
+         "clock 'x' is above the bound and also has its integer part or fraction fixed"),
+        (two + "  starting q\n", 5, 3,
+         "region expression does not totally order the fractional parts"),
+        (head.replace("initial", "initial x = 2") + "starting q x>1\n", 5, 12,
+         "x>1 in the starting line of 'q' is below the max constant 2"),
     ]:
         with pytest.raises(ParseError) as raised:
             parse_automaton(text)
-        assert raised.value.line == line and message in str(raised.value), text
+        error = raised.value
+        assert (error.line, error.column) == (line, column), (text, str(error))
+        assert str(error).startswith(f"line {line}, col {column}: {message}"), text
+    # rows that parse: `accepting` before `initial`, and bounds written
+    # without `=` that leave no value, an empty window
+    a = parse_automaton(head + "location p accepting initial\n"
+                        "edge q -> q on a guard x >= 2, x <= 1\n")
+    assert a.initial["p"] == (F(0),) and a.accepting["p"] == Guard()
+    assert a.edges[0].guard.windows == {"x": (2, False, 1, False)}
     with pytest.raises(TAError, match="edge d1 uses undeclared location"):
         parse_automaton(head + "edge q -> p on a\n")
     # automata built in code are checked for the same duplicates
@@ -88,16 +116,17 @@ def test_parse_errors():
 
 
 def test_keyword_clock_names_in_guards():
-    """A `guard` or `reset` token that a relation follows names a clock, so a
-    second keyword on an edge line is an error but clocks with these names
-    still parse and round-trip."""
-    a = parse_automaton("automaton k\nclocks guard reset\nalphabet a\n"
-                        "location q initial accepting reset < 2\n"
+    """A keyword token that a relation follows names a clock, so a second
+    keyword on a line is an error but clocks with these names still parse,
+    in either keyword order, and round-trip."""
+    a = parse_automaton("automaton k\nclocks guard reset accepting\nalphabet a\n"
+                        "location q accepting reset < 2 initial accepting = 1\n"
                         "edge q -> q on a guard reset < 1, guard = 2 reset guard, reset\n")
     e, = a.edges
     assert e.guard.text() == "reset < 1, guard <= 2, guard >= 2"
     assert e.resets == {"guard", "reset"}
     assert a.accepting["q"].text() == "reset < 2"
+    assert a.initial["q"] == (F(0), F(0), F(1))
     assert serialize_automaton(parse_automaton(serialize_automaton(a))) == \
         serialize_automaton(a)
 
@@ -116,6 +145,23 @@ def test_round_trip(name):
     assert (a.clocks, a.alphabet, a.locations) == (b.clocks, b.alphabet, b.locations)
     assert a.edges == b.edges
     assert a.initial == b.initial and a.accepting == b.accepting
+
+
+def test_round_trip_keeps_empty_windows():
+    """Code-built guards of non-strict (and strict) bounds, some leaving no
+    value, serialize to text that parses back to the same atoms."""
+    pairs = [(ClockConstraint("x", low, k), ClockConstraint("x", high, m))
+             for low in (">=", ">") for high in ("<=", "<")
+             for k in range(3) for m in range(3)]
+    edges = tuple(Edge(f"d{i + 1}", "q", "q", "a", Guard(pair))
+                  for i, pair in enumerate(pairs))
+    a = TimedAutomaton("w", ("x",), ("a",), ("q",), edges, {"q": (F(0),)},
+                       {"q": Guard(pairs[7])})
+    assert Guard(pairs[7]).text() == "x >= 2, x <= 1"
+    b = parse_automaton(serialize_automaton(a))
+    assert [e.guard.atoms for e in b.edges] == list(pairs)
+    assert b.accepting == a.accepting
+    assert sum(e.guard.witness(a.clocks) is None for e in b.edges) == 21
 
 
 @pytest.mark.parametrize("name", NAMES)
