@@ -8,10 +8,14 @@ order or multiplicity of simultaneous events (the pseudo-metric cannot tell
 them apart).  The word cap bounds its search states, and the count of those
 states is the only budget: each slice is compiled once, a second walker
 counts its search states without building words (memoised per instant),
-and the enumeration runs only when the count is within the cap, so a slice
-over the cap is never enumerated.  Both walkers keep their own stack, so the
-horizon sets no depth limit.  Capacity and entropy estimates come from the
-greedy separated-set size over the slice.
+and `_counted_slice`, the one place that decides the cap, raises when the
+count is over it, so a slice over the cap is never enumerated.  Both walkers
+keep their own stack, so the horizon sets no depth limit.  A curve counts
+its durations in increasing order up to the first slice over the cap and
+enumerates only the last slice counted, once per grid: that is the slice its
+rows report.  Capacity and entropy estimates come from the greedy
+separated-set size over the slice, one flat loop over bitset words kept in
+buckets keyed on letter set and the cell of the lowest set bit.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class _Slice(NamedTuple):
     `_count_states`; clocks and dates are in grid units."""
     location: str                 # the start state
     clocks: tuple
-    accepts: Callable             # (location, clocks) -> bool
+    accepting: bool               # whether the start state accepts
     steps: Callable               # (location, clocks, date) -> list of moves
 
 
@@ -74,11 +78,12 @@ def _compile_slice(a, duration: Fraction, grid: Fraction, cap: int) -> Optional[
     units; None when the automaton has no locations.
 
     `steps(loc, clocks, date)` lists the search's moves from a state as
-    (delay, edge, clocks on landing, the edge's letter as a set): delays
-    ascending and, at each delay, the edges in declaration order whose guard
-    holds, whose delay stays within maxConstant + 1 and the horizon, and whose
-    target's starting region (if any) admits the landing clocks.  Each list
-    is built once per slice and shared; callers must not change it."""
+    (delay, edge, clocks on landing, the edge's letter as a set, whether the
+    state landed in accepts): delays ascending and, at each delay, the edges
+    in declaration order whose guard holds, whose delay stays within
+    maxConstant + 1 and the horizon, and whose target's starting region (if
+    any) admits the landing clocks.  Each list is built once per slice and
+    shared; callers must not change it."""
     grid = Fraction(grid)
     duration = Fraction(duration)
     _power_of_two_grid(grid)
@@ -168,25 +173,30 @@ def _compile_slice(a, duration: Fraction, grid: Fraction, cap: int) -> Optional[
                 if check_start and not a.starting_ok(
                         edge.dst, tuple(Fraction(v, scale) for v in landed)):
                     continue
-                moves.append((k, edge, landed, label))
+                moves.append((k, edge, landed, label, accepts(edge.dst, landed)))
         return moves
 
     start_clocks = tuple(units(x) for x in start.clocks)
-    return _Slice(start.location, start_clocks, accepts, steps)
+    return _Slice(start.location, start_clocks, accepts(start.location, start_clocks),
+                  steps)
+
+
+def _counted_slice(a, duration: Fraction, grid: Fraction, cap: int) -> Optional[_Slice]:
+    """The compiled slice (None when the automaton has no locations) once its
+    search states are counted within the cap; `EnumerationCapExceeded`
+    otherwise.  This is the one place where the word cap is decided."""
+    s = _compile_slice(a, duration, grid, cap)
+    if s is not None and _count_states(s, cap) > cap:
+        raise EnumerationCapExceeded(cap)
+    return s
 
 
 def _grid_words(a, duration: Fraction, grid: Fraction, cap: int) -> list[tuple]:
     """The words of `enumerate_words` as event tuples whose dates are in grid
-    units (date times `grid.denominator`), in `_grid_key` order.
-
-    This is where the word cap is decided: the slice is compiled once, its
-    search states are counted, and it is walked only when they fit the cap."""
-    s = _compile_slice(a, duration, grid, cap)
-    if s is None:
-        return []
-    if _count_states(s, cap) > cap:
-        raise EnumerationCapExceeded(cap)
-    return _walk(s)
+    units (date times `grid.denominator`), in `_grid_key` order; the slice
+    is walked only when `_counted_slice` admits it."""
+    s = _counted_slice(a, duration, grid, cap)
+    return [] if s is None else _walk(s)
 
 
 def _walk(s: _Slice) -> list[tuple]:
@@ -194,17 +204,17 @@ def _walk(s: _Slice) -> list[tuple]:
     `steps` call per search state.  The stack holds one frame per open
     state, (its moves, its date, its instant's chain, the letters fired at
     that date), and `events` the path to the top frame's state."""
-    accepts, steps = s.accepts, s.steps
+    steps = s.steps
     # canonical (sorted) event multiset -> a feasible firing order
     words: dict[tuple, tuple] = {}
-    if accepts(s.location, s.clocks):
+    if s.accepting:
         words[()] = ()
     events: list[tuple] = []
     stack = [(iter(steps(s.location, s.clocks, 0)), 0,
               {(s.location, s.clocks, frozenset())}, frozenset())]
     while stack:
         moves, date, chain, letters = stack[-1]
-        for k, edge, landed, label in moves:
+        for k, edge, landed, label, accepted in moves:
             if k == 0:
                 next_letters = letters | label
                 key = (edge.dst, landed, next_letters)
@@ -217,7 +227,7 @@ def _walk(s: _Slice) -> list[tuple]:
                 next_letters = label
             t = date + k
             events.append((edge.label, t))
-            if accepts(edge.dst, landed):
+            if accepted:
                 words.setdefault(tuple(sorted(events)), tuple(events))
             stack.append((iter(steps(edge.dst, landed, t)), t, next_chain,
                           next_letters))
@@ -259,7 +269,7 @@ def _count_states(s: _Slice, cap: int) -> int:
             total += 1
             if total > cap:
                 return over
-            for k, edge, landed, label in steps(loc, clocks, date):
+            for k, edge, landed, label, _ in steps(loc, clocks, date):
                 if k == 0:
                     key = (edge.dst, landed, letters | label)
                     if key not in seen:
@@ -402,58 +412,66 @@ def _greedy(ordered: Sequence[tuple], cutoff: int) -> int:
     off the dates of other lanes.  w is within the cutoff of v exactly when
     w's bits lie inside v's dilation and v's inside w's: the distance only
     sees the set of (letter, date) events, so repeated and simultaneous
-    events need no care.
+    events need no care.  Each event's bit and lane, and the shifts that
+    build a dilation, are computed once per call.
 
-    Kept words are bucketed by letter set and by first date // (cutoff + 1).
-    Two words within the cutoff have the same letter set, first dates within
-    it (each first event must find a match no earlier than the other's first
-    event) and durations within it (likewise for the final events), so only
-    the trailing duration window of the buckets next to a word's own is
+    Kept words are bucketed by letter set and by the cell, of width
+    cutoff + 1, of their lowest set bit: the first date of the letter with
+    the lowest lane.  Two words within the cutoff have the same letter set,
+    hence the same such letter, with first dates within the cutoff (each
+    first occurrence must find a match no earlier than the other's), and
+    durations within it (likewise for the final events), so only the
+    trailing duration window of the buckets next to a word's own is
     scanned.  Nearness is a yes/no answer, so the scan order does not matter.
     """
     width = cutoff + 1
     stride = max((events[-1][1] for events in ordered if events), default=0) + width
-    lanes: dict[str, tuple[int, int]] = {}
+    lanes: dict[str, int] = {}
+    forms: dict[tuple, tuple[int, int]] = {}  # event -> (its bit, its lane)
     for events in ordered:
-        for letter, _ in events:
-            if letter not in lanes:
-                lanes[letter] = (len(lanes) * stride, 1 << len(lanes))
-    kept: dict[tuple[int, int], tuple[list, list]] = {}
+        for event in events:
+            if event not in forms:
+                i = lanes.setdefault(event[0], len(lanes))
+                forms[event] = (1 << (i * stride + event[1]), 1 << i)
+    shifts = []   # after shifting by these, bit t covers dates t .. t + cutoff
+    reach = 0
+    while reach < cutoff:
+        shifts.append(min(reach + 1, cutoff - reach))
+        reach += shifts[-1]
+    kept: dict[int, dict[int, tuple[list, list]]] = {}
     size = 0
     for events in ordered:
         bits = letters = 0
-        for letter, t in events:
-            offset, lane = lanes[letter]
-            bits |= 1 << (offset + t)
+        for event in events:
+            bit, lane = forms[event]
+            bits |= bit
             letters |= lane
-        spread, reach = bits, 0   # bit t covers dates t .. t + reach
-        while reach < cutoff:
-            step = min(reach + 1, cutoff - reach)
+        spread = bits
+        for step in shifts:
             spread |= spread << step
-            reach += step
         outside = ~(spread | spread >> cutoff)
         duration = events[-1][1] if events else 0
-        cell = events[0][1] // width if events else 0
-        buckets = (kept.get((letters, c)) for c in (cell, cell - 1, cell + 1))
-        if any(_near(b, bits, outside, duration - cutoff) for b in buckets if b):
-            continue
-        durations, forms = kept.setdefault((letters, cell), ([], []))
-        durations.append(duration)
-        forms.append((bits, outside))
-        size += 1
+        cell = ((bits & -bits).bit_length() - 1) // width
+        cells = kept.setdefault(letters, {})
+        for c in (cell, cell - 1, cell + 1):
+            bucket = cells.get(c)
+            if bucket is not None:
+                durations, words = bucket
+                # latest first, where a near word is likelier
+                for i in range(len(words) - 1,
+                               bisect_left(durations, duration - cutoff) - 1, -1):
+                    other, far = words[i]
+                    if not (bits & far or other & outside):
+                        break
+                else:
+                    continue
+                break  # near a kept word
+        else:
+            durations, words = cells.setdefault(cell, ([], []))
+            durations.append(duration)
+            words.append((bits, outside))
+            size += 1
     return size
-
-
-def _near(bucket: tuple[list, list], bits: int, outside: int, since: int) -> bool:
-    """Whether a word of the bucket with duration at least `since` is within
-    the cutoff of the word with these bits and this dilation complement;
-    latest first, where a near word is likelier."""
-    durations, forms = bucket
-    for i in range(len(forms) - 1, bisect_left(durations, since) - 1, -1):
-        other, far = forms[i]
-        if not (bits & far or other & outside):
-            return True
-    return False
 
 
 # -- curves and asymptotic fits ------------------------------------------------------
@@ -477,10 +495,11 @@ def bandwidth_curve(a, durations: Sequence[Fraction], epss: Sequence[Fraction],
                     grid: Optional[Fraction] = None,
                     cap: int = DEFAULT_WORD_CAP) -> list[CurveRow]:
     """One row per eps at the largest duration whose enumeration stays under
-    the cap; durations are tried in increasing order, up to the first slice
-    over the cap, which `_grid_words` finds by counting.  The eps
-    values that share a grid share each enumerated slice, which is dropped
-    before the next one is enumerated."""
+    the cap.  For each grid the aligned durations are counted in increasing
+    order, up to the first slice over the cap, and only the last slice
+    counted is enumerated: the word set grows with the duration, so an eps
+    whose slice there is empty has an empty slice at every duration before
+    it too.  The eps values that share a grid share that one enumeration."""
     ts = sorted(Fraction(t) for t in durations)
     if ts and ts[0] <= 0:
         raise TAError(f"duration bound must be positive, got {ts[0]}")
@@ -500,20 +519,25 @@ def bandwidth_curve(a, durations: Sequence[Fraction], epss: Sequence[Fraction],
         by_grid.setdefault(g, []).append(k)
     best: list[Optional[CurveRow]] = [None] * len(epss)
     for g, members in by_grid.items():
+        last = None
         for t in ts:
             if t % g != 0:
                 continue  # this duration does not align with this grid
             try:
-                words = _grid_words(a, t, g, cap)
+                last = t, _counted_slice(a, t, g, cap)
             except EnumerationCapExceeded:
                 break
-            for k in members:
-                est = _estimate(words, epss[k], g)
-                if not est.empty:
-                    assert est.capacity_bits is not None and est.entropy_bits is not None
-                    best[k] = CurveRow(epss[k], t, g, est.capacity_bits,
-                                       est.entropy_bits, est.word_count)
-            del words
+        if last is None or last[1] is None:
+            continue
+        t, s = last
+        words = _walk(s)
+        for k in members:
+            est = _estimate(words, epss[k], g)
+            if not est.empty:
+                assert est.capacity_bits is not None and est.entropy_bits is not None
+                best[k] = CurveRow(epss[k], t, g, est.capacity_bits,
+                                   est.entropy_bits, est.word_count)
+        del last, s, words
     return [row for row in best if row is not None]
 
 

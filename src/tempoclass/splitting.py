@@ -410,9 +410,16 @@ def attach_starting_regions(ta: TimedAutomaton,
                             ) -> RegionSplitAutomaton:
     """Rebuild a region-split automaton from the atoms of its `starting`
     lines, each with the parser of its line, by location.  `x>k` with a
-    literal k must name the final bound."""
-    if set(lines) != set(ta.locations):
-        raise TAError("starting lines must cover every location exactly once")
+    literal k must name the final bound.  An error that one line causes is
+    blamed at the location it names."""
+    cover = "starting lines must cover every location exactly once"
+    for loc, (p, _) in lines.items():
+        if loc not in ta.locations:
+            p.error(f"{cover}: {loc!r} is not a location", 1)
+    missing = [loc for loc in ta.locations if loc not in lines]
+    if missing:
+        raise TAError(f"{cover}: no starting line for "
+                      + ", ".join(repr(loc) for loc in missing))
     parsed = {loc: _parse_region_expr(p, atoms, ta.clocks)
               for loc, (p, atoms) in lines.items()}
     bound = max([ta.max_constant] + [r.bound for r in parsed.values()])
@@ -426,6 +433,7 @@ def attach_starting_regions(ta: TimedAutomaton,
     rsta = RegionSplitAutomaton(
         ta.name, ta.clocks, ta.alphabet, ta.locations, ta.edges,
         dict(ta.initial), dict(ta.accepting), regions=regions)
-    if not all(rsta.starting_ok(q, x) for q, x in rsta.initial.items()):
-        raise TAError("initial vector violates the starting constraint")
+    for q, x in rsta.initial.items():
+        if not rsta.starting_ok(q, x):
+            lines[q][0].error(f"initial vector violates the starting constraint of {q!r}", 1)
     return rsta

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import TICKER
+from conftest import TICKER, deterministic_draws
 from tempoclass.bandwidth import (DEFAULT_WORD_CAP, CurveRow,
                                   EnumerationCapExceeded, _compile_slice,
                                   _grid_words, _search_states, _walk,
@@ -357,11 +357,14 @@ def test_curve_enumerates_only_slices_under_the_cap(monkeypatch):
 
 
 def test_curve_enumerates_each_grid_slice_once(monkeypatch):
+    """The eps values of one grid share one walk, of the last slice counted;
+    the T=3/2 slice is counted but never walked."""
     compiled, walked = _record_slices(monkeypatch)
     a = automaton("a6")
     epss = [F(1, 2), F(1, 3), F(1, 5)]
     rows = bandwidth_curve(a, [F(3, 2), F(2)], epss, grid=F(1, 16))
-    assert walked == [(F(3, 2), F(1, 16)), (F(2), F(1, 16))]
+    assert compiled == [(F(3, 2), F(1, 16)), (F(2), F(1, 16))]
+    assert walked == [(F(2), F(1, 16))]
     # the same rows as one estimate per eps on its own enumeration
     assert [(r.eps, r.duration, r.word_count, r.capacity_bits) for r in rows] == [
         (eps, F(2), est.word_count, est.capacity_bits)
@@ -371,15 +374,70 @@ def test_curve_enumerates_each_grid_slice_once(monkeypatch):
 
 def test_curve_compiles_each_aligned_slice_once(monkeypatch):
     """One compilation per aligned (T, grid) slice serves both the count and
-    the walk; T=1/8 does not align with the grid 1/4 and is not compiled
-    for it, and grid 1/8 stops at its first slice over the cap."""
+    the walk, and each grid walks only its last slice under the cap; T=1/8
+    does not align with the grid 1/4 and is not compiled for it, and grid
+    1/8 stops at its first slice over the cap."""
     compiled, walked = _record_slices(monkeypatch)
     bandwidth_curve(automaton("a6"), [F(2), F(1, 8), F(3, 2), F(4)],
                     [F(1, 2), F(1, 4)], cap=121)
     assert compiled == [(F(3, 2), F(1, 4)), (F(2), F(1, 4)), (F(4), F(1, 4)),
                         (F(1, 8), F(1, 8)), (F(3, 2), F(1, 8)), (F(2), F(1, 8)),
                         (F(4), F(1, 8))]
-    assert walked == compiled[:-1]
+    assert walked == [(F(4), F(1, 4)), (F(2), F(1, 8))]
+
+
+def _reference_curve(a, durations, epss, grid, cap) -> tuple[list, set]:
+    """The curve as one estimate per eps and aligned duration, up to the
+    first slice over the cap, keeping each eps's last non-empty row; also
+    the cases met: "partway" (a slice over the cap after one within it),
+    "empty" (an eps whose first aligned slice is empty) and "no row"."""
+    rows, met = [], set()
+    for eps in epss:
+        g = eps / 2 if grid is None else grid
+        best, counted = None, 0
+        for t in sorted(durations):
+            if t % g != 0:
+                continue
+            try:
+                est = estimate_capacity(a, t, eps, g, cap)
+            except EnumerationCapExceeded:
+                if counted:
+                    met.add("partway")
+                break
+            if est.empty and not counted:
+                met.add("empty")
+            counted += 1
+            if not est.empty:
+                best = CurveRow(eps, t, g, est.capacity_bits, est.entropy_bits,
+                                est.word_count)
+        if best is None:
+            met.add("no row")
+        else:
+            rows.append(best)
+    return rows, met
+
+
+# caps that stop curves partway, and durations short enough that some slices
+# are empty (a4's are empty up to T = 3 and not at T = 10)
+CURVE_PLANS = [
+    ([F(1, 4), F(1, 2), F(1), F(2), F(3)], [F(1, 2), F(1, 4), F(1, 8)], None, 800),
+    ([F(1, 8), F(1), F(2), F(10)], [F(1, 2), F(1)], None, 2_000),
+    ([F(1, 8), F(3, 8), F(1), F(3, 2)], [F(1, 3), F(1, 2)], F(1, 8), 5_000),
+]
+
+
+def test_curve_matches_the_estimate_per_duration_loop():
+    """Walking only the last slice counted gives the rows of an estimate on
+    every aligned duration up to the first slice over the cap, on the
+    corpus and 60 random automata."""
+    subjects = [automaton(n) for n in NAMES] + deterministic_draws(7, 60)
+    met = set()
+    for a in subjects:
+        for durations, epss, grid, cap in CURVE_PLANS:
+            expected, cases = _reference_curve(a, durations, epss, grid, cap)
+            assert bandwidth_curve(a, durations, epss, grid, cap) == expected, a.name
+            met |= cases
+    assert met == {"partway", "empty", "no row"}
 
 
 def test_capacity_monotone_in_duration_and_eps():
@@ -438,10 +496,49 @@ def test_greedy_matches_oracles_on_random_words(seed):
         words.append(timed_word(events))
     for cutoff in range(2, 6):
         for eps in (cutoff * grid, (cutoff + F(1, 3)) * grid):
-            expected = len(greedy_separated(words, eps))
-            assert _merge_greedy(words, grid, eps) == expected, (cutoff, eps)
-            est = estimate_capacity(automaton("a1"), F(2), eps, grid, words=words)
-            assert est.separated_size == expected, (cutoff, eps)
+            _check_greedy_size(words, grid, eps)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_greedy_buckets_on_the_lowest_lane_letter(seed):
+    """Kept words are bucketed on the first date of the letter with the
+    lowest lane, which the greedy gives to the first letter in word order:
+    here c, through the word c at 0.  The empty word is among them, and each
+    drawn word holds c after its first event and has a near copy (each date
+    moved by at most the cutoff); some copies move c's first date into the
+    next or the previous cell of width cutoff + 1."""
+    rng = random.Random(seed)
+    grid = F(1, 8)
+    for cutoff in range(2, 6):
+        width = cutoff + 1
+        words = [timed_word([]), timed_word([("c", F(0))])]
+        crossed = set()
+        for _ in range(30):
+            dates = sorted(rng.sample(range(1, 14), k=rng.randrange(2, 5)))
+            letters = [rng.choice("ab")] + [rng.choice("abc") for _ in dates[1:]]
+            if "c" not in letters[1:]:
+                letters[rng.randrange(1, len(letters))] = "c"
+            moved = [max(1, t + rng.randint(-cutoff, cutoff)) for t in dates]
+            for ds in (dates, moved):
+                events = sorted(zip(ds, letters))
+                words.append(timed_word([(l, t * grid) for t, l in events]))
+            first, copied = (min(t for l, t in zip(letters, ds) if l == "c")
+                             for ds in (dates, moved))
+            if first // width != copied // width:
+                crossed.add(first < copied)
+        assert crossed == {True, False}, cutoff
+        rng.shuffle(words)
+        for eps in (cutoff * grid, (cutoff + F(1, 2)) * grid):
+            _check_greedy_size(words, grid, eps)
+
+
+def _check_greedy_size(words, grid, eps) -> None:
+    """The grid-unit greedy keeps as many words as the exact-distance greedy
+    and as the per-date merge greedy."""
+    expected = len(greedy_separated(words, eps))
+    assert _merge_greedy(words, grid, eps) == expected, eps
+    est = estimate_capacity(automaton("a1"), F(2), eps, grid, words=words)
+    assert est.separated_size == expected, eps
 
 
 def _merge_greedy(words, grid, eps) -> int:

@@ -94,6 +94,10 @@ def test_parse_errors():
          "region expression does not totally order the fractional parts"),
         (head.replace("initial", "initial x = 2") + "starting q x>1\n", 5, 12,
          "x>1 in the starting line of 'q' is below the max constant 2"),
+        (head + "starting q ⌊x⌋=0, frac(x)=0\nstarting p ⌊x⌋=0\n", 6, 10,
+         "starting lines must cover every location exactly once: 'p' is not a location"),
+        (head + "location p\nstarting p ⌊x⌋=0\nstarting q ⌊x⌋=1, frac(x)=0\n", 7, 10,
+         "initial vector violates the starting constraint of 'q'"),
     ]:
         with pytest.raises(ParseError) as raised:
             parse_automaton(text)
@@ -108,6 +112,12 @@ def test_parse_errors():
     assert a.edges[0].guard.windows == {"x": (2, False, 1, False)}
     with pytest.raises(TAError, match="edge d1 uses undeclared location"):
         parse_automaton(head + "edge q -> p on a\n")
+    # no line to blame: the locations without a starting line are named
+    with pytest.raises(TAError) as raised:
+        parse_automaton(head + "location p\nlocation r\nstarting p ⌊x⌋=0\n")
+    assert not isinstance(raised.value, ParseError)
+    assert str(raised.value) == ("starting lines must cover every location exactly "
+                                 "once: no starting line for 'q', 'r'")
     # automata built in code are checked for the same duplicates
     for clocks, alphabet, message in [(("x", "x"), ("a",), "duplicate clock 'x'"),
                                       (("x",), ("a", "b", "a"), "duplicate letter 'a'")]:
