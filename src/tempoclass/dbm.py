@@ -11,8 +11,8 @@ so a query between integer vertices, which is every query the
 `Fraction` inputs mix in exactly: the entries they touch become `Fraction`s.
 
 No runtime path builds a DBM or a `LanguageClass`: the edge table maps each
-edge's delay interval to its entries (`orbits._edge_entries`).  This module
-is the reference that `path_orbit_direct` and the tests compare against.
+edge's delay interval to its entries (`orbits.edge_orbit_table`).  This
+module is the reference that `path_orbit_direct` and the tests compare against.
 """
 
 from __future__ import annotations

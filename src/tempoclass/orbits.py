@@ -9,8 +9,10 @@ Three abstractions of a path, all matrices indexed by source-region vertices
 
 Entries compose through semiring matrix products, which agrees with whole-path
 evaluation because the per-edge languages concatenate exactly.  An edge's
-entries come from one integer delay interval per vertex pair, mapped to all
-three kinds at once by `_entries`, the mapping the DBM oracle also uses.
+entries come from one integer delay interval per vertex pair, which
+`edge_orbit_table` maps to all three kinds at once in its own loop; the DBM
+oracle `path_orbit_direct` maps its language classes through `_entries`, a
+mapping of its own.
 
 An orbit element is a slotted value object, immutable by convention, whose
 hash is computed once when it is built.  Each kind has one zero element,
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import TopologicalSorter
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .dbm import LanguageClass, language_class
 from .regions import Region, barycentric_coordinates
@@ -210,42 +212,92 @@ def _entry_value(kind: str, lc: LanguageClass) -> int:
         _entries(lc.kind == "singleton", lc.duration.lo)[KINDS.index(kind)]
 
 
-def _edge_entries(automaton, e) -> Iterator[list[tuple[int, int, int]]]:
-    """Yield the rows of edge `e`'s (p, f, d) entries: one row per vertex x
-    of its source region, one entry per vertex y of its target region.  The
-    closed language is one interval [lo, hi] of the delay t: t >= 0, each
-    guarded clock c keeps x_c + t in the closure of its window, each kept
-    clock ends at y_c = x_c + t, and a reset clock at 0, so the pair is
-    empty unless y_c = 0.  Windows and vertices are `int`s, so lo and hi are."""
-    index = automaton.clock_index
-    windows = [(index(c), lo, hi) for c, (lo, _, hi, _) in e.guard.windows.items()]
-    resets = [index(c) for c in e.resets]
-    kept = [c for c in range(len(automaton.clocks)) if c not in resets]
-    for x in automaton.location_vertices(e.src):
-        row = []
-        for y in automaton.location_vertices(e.dst):
-            pins = [y[c] - x[c] for c in kept]
-            lo = max([0, *pins, *(w_lo - x[c] for c, w_lo, _ in windows)])
-            hi = min([*pins, *(w_hi - x[c] for c, _, w_hi in windows if w_hi is not None)],
-                     default=None)
-            empty = any(y[c] for c in resets) or (hi is not None and lo > hi)
-            row.append((ZERO, ZERO, ZERO) if empty else _entries(lo == hi, lo))
-        yield row
-
-
 EdgeOrbitTable = dict[str, dict[str, OrbitElement]]
 
 
 def edge_orbit_table(automaton) -> EdgeOrbitTable:
     """Orbit of every edge in every kind, keyed by kind and then by edge name
-    in `automaton.edges` order, each edge's entries read once; a fresh table
-    on every call (`RegionSplitAutomaton.edge_orbits` keeps one)."""
-    table: EdgeOrbitTable = {kind: {} for kind in KINDS}
+    in `automaton.edges` order; a fresh table on every call
+    (`RegionSplitAutomaton.edge_orbits` keeps one).
+
+    The closed language of an edge from a vertex x of its source region to a
+    vertex y of its target region is one interval [lo, hi] of the delay t:
+    t >= 0, each guarded clock c keeps x_c + t in the closure of its window,
+    each kept clock ends at y_c = x_c + t, and a reset clock at 0, so the
+    pair is empty unless y_c = 0.  The windows bound t once per x.  The kept
+    clocks all pin t to y_k - x_k, for the first kept clock k, when x and y
+    have the same kept coordinates relative to their k coordinate, and leave
+    the pair empty otherwise; with no kept clock the windows alone bound t.
+    Each vertex's kept coordinates are read once per location and reset set.
+    Windows and vertices are `int`s, so lo and hi
+    are: a non-empty pair is one timed word (narrow) when lo = hi, instant
+    when that word has duration 0, and otherwise slow from lo >= 1 or fast
+    from lo = 0."""
+    index = automaton.clock_index
+    clocks = range(len(automaton.clocks))
+    vertices = automaton.location_vertices
+    offsets: dict[tuple[str, frozenset[str]], list] = {}
+
+    def kept_offsets(loc: str, resets: frozenset[str]) -> list:
+        """Each vertex v of `loc` as (v_k, kept coordinates minus v_k, whether
+        every reset clock is 0 at v), with v_k None when no clock is kept.
+        Kept for the call, by location and reset set."""
+        out = offsets.get((loc, resets))
+        if out is None:
+            reset = [index(c) for c in resets]
+            kept = [c for c in clocks if c not in reset]
+            k = kept[0] if kept else None
+            out = offsets[loc, resets] = [
+                (None if k is None else v[k], tuple([v[c] - v[k] for c in kept]),
+                 not any([v[c] for c in reset])) for v in vertices(loc)]
+        return out
+
+    p_table: dict[str, OrbitElement] = {}
+    f_table: dict[str, OrbitElement] = {}
+    d_table: dict[str, OrbitElement] = {}
     for e in automaton.edges:
-        matrices = zip(*(zip(*row) for row in _edge_entries(automaton, e)))
-        for kind, matrix in zip(KINDS, matrices):
-            table[kind][e.name] = orbit_element(kind, e.src, matrix, e.dst)
-    return table
+        windows = [(index(c), lo, hi) for c, (lo, _, hi, _) in e.guard.windows.items()]
+        uppers = [(c, hi) for c, _, hi in windows if hi is not None]
+        targets = kept_offsets(e.dst, e.resets)
+        p_rows, f_rows, d_rows = [], [], []
+        some = False  # whether some pair is non-empty
+        for x, (x_k, x_shape, _) in zip(vertices(e.src), kept_offsets(e.src, e.resets)):
+            x_lo = max([0, *[lo - x[c] for c, lo, _ in windows]])
+            x_hi = min([hi - x[c] for c, hi in uppers], default=None)
+            p_row, f_row, d_row = [], [], []
+            for y_k, y_shape, reset_at_zero in targets:
+                empty = not reset_at_zero or y_shape != x_shape
+                if not empty:
+                    lo, hi = x_lo, x_hi
+                    if x_k is not None:
+                        t = y_k - x_k
+                        lo, hi = max(lo, t), t if hi is None else min(hi, t)
+                    empty = hi is not None and lo > hi
+                if empty:
+                    p_row.append(ZERO)
+                    f_row.append(ZERO)
+                    d_row.append(ZERO)
+                    continue
+                some = True
+                p_row.append(ONE_P)
+                if lo == hi:
+                    f_row.append(NARROW)
+                    d_row.append(INSTANT if lo == 0 else SLOW)
+                else:
+                    f_row.append(WIDE)
+                    d_row.append(SLOW if lo >= 1 else FAST)
+            p_rows.append(tuple(p_row))
+            f_rows.append(tuple(f_row))
+            d_rows.append(tuple(d_row))
+        if some:
+            p_table[e.name] = OrbitElement("p", "elem", e.src, tuple(p_rows), e.dst)
+            f_table[e.name] = OrbitElement("f", "elem", e.src, tuple(f_rows), e.dst)
+            d_table[e.name] = OrbitElement("d", "elem", e.src, tuple(d_rows), e.dst)
+        else:
+            p_table[e.name] = _ZEROS["p"]
+            f_table[e.name] = _ZEROS["f"]
+            d_table[e.name] = _ZEROS["d"]
+    return {"p": p_table, "f": f_table, "d": d_table}
 
 
 def edge_orbit(automaton, edge, kind: str) -> OrbitElement:

@@ -139,33 +139,46 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
         g = a.accepting.get(base)
         return g is not None and _guard_on(region, g, a.clock_index, large)
 
-    # forward exploration
+    # forward exploration.  A key's chain is a suffix of any chain its region
+    # lies on, so a chain is built only for a region on no earlier chain.
+    # Reset images are computed once per firing region and reset set.
+    index = a.clock_index
     succ: dict[_Key, list[tuple[Edge, Region, frozenset[str], _Key]]] = {}
     order: list[_Key] = [start_key]
     queue = deque([start_key])
     seen = {start_key}
-    built = 0  # regions in the time-successor chains built so far
+    on_chain: dict[Region, tuple[list[Region], int]] = {}
+    images: dict[tuple[Region, frozenset[str]], Region] = {}
+    built = 0  # regions in the time-successor chains of the keys so far
     while queue:
         key = queue.popleft()
         base, large, region = key
         out = []
-        chain = time_successor_chain(region)
+        place = on_chain.get(region)
+        if place is None:
+            chain = time_successor_chain(region)
+            for i, r in enumerate(chain):
+                on_chain[r] = chain, i
+        else:
+            chain = place[0][place[1]:]
         built += len(chain)
         if built > cap:
             raise RegionSplitCapExceeded(
                 cap, "more regions in time-successor chains than the cap")
         for e in a.edges_from(base):
-            resets = frozenset(e.resets)
             for fired in chain:
-                if not _guard_on(fired, e.guard, a.clock_index, large):
+                if not _guard_on(fired, e.guard, index, large):
                     continue
-                newly = frozenset(
-                    c for i, c in enumerate(a.clocks)
-                    if fired.int_part[i] is None and c not in large and c not in resets)
-                large2 = (large - resets) | newly
-                resets2 = resets | large2
-                target_region = fired.reset(a.clock_index(c) for c in resets2)
-                key2 = (e.dst, large2, target_region)
+                # the clocks large now or above the bound where the edge fires
+                # are force-reset, and enter as large unless the edge resets them
+                forced = large.union(
+                    c for c, ip in zip(a.clocks, fired.int_part) if ip is None)
+                resets2 = forced | e.resets
+                target_region = images.get((fired, resets2))
+                if target_region is None:
+                    target_region = images[fired, resets2] = \
+                        fired.reset(index(c) for c in resets2)
+                key2 = (e.dst, forced - e.resets, target_region)
                 out.append((e, fired, resets2, key2))
                 if key2 not in seen:
                     if len(seen) >= cap:
@@ -203,14 +216,22 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
 
     edges: list[Edge] = []
     per_edge: dict[str, int] = {}
+    # one guard object per set of pins, so the edge table reads each
+    # guard's windows once; the pins read a region's integer parts and its
+    # zero-fraction clocks alone
+    pins: dict[tuple, Guard] = {}
     for key in kept_keys:
         for e, fired, resets2, key2 in succ[key]:
             if key2 not in live:
                 continue
             k = per_edge.get(e.name, 0)
             per_edge[e.name] = k + 1
+            guard = pins.get((fired.int_part, fired.zero_fraction))
+            if guard is None:
+                guard = pins[fired.int_part, fired.zero_fraction] = \
+                    region_pins(a.clocks, fired)
             edges.append(Edge(f"{e.name}.{k}", names[key], names[key2], e.label,
-                              region_pins(a.clocks, fired), resets2))
+                              guard, resets2))
 
     return RegionSplitAutomaton(
         a.name + "_rs", a.clocks, a.alphabet,
@@ -229,13 +250,22 @@ def check_exact_edges(a: RegionSplitAutomaton) -> None:
     for e in a.edges:
         a.location_vertices(e.src)
         a.location_vertices(e.dst)
+    chains: dict[Region, list[Region]] = {}
+    images: dict[tuple[Region, frozenset[str]], Region] = {}
     for e in a.edges:
-        fired = [r for r in time_successor_chain(a.regions[e.src])
-                 if _guard_on(r, e.guard, a.clock_index, frozenset())]
+        region = a.regions[e.src]
+        chain = chains.get(region)
+        if chain is None:
+            chain = chains[region] = time_successor_chain(region)
+        fired = [r for r in chain if _guard_on(r, e.guard, a.clock_index, frozenset())]
         if len(fired) != 1:
             raise TAError(f"edge {e.name} is not exact: it fires from {len(fired)} "
                           "regions of its source region's time-successor chain")
-        if fired[0].reset(a.clock_index(c) for c in e.resets) != a.regions[e.dst]:
+        image = images.get((fired[0], e.resets))
+        if image is None:
+            image = images[fired[0], e.resets] = \
+                fired[0].reset(a.clock_index(c) for c in e.resets)
+        if image != a.regions[e.dst]:
             raise TAError(f"edge {e.name} is not exact: its firing region with its "
                           "resets applied is not its target's region")
 

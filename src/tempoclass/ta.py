@@ -174,6 +174,10 @@ class TimedAutomaton:
 
     def __post_init__(self):
         self._index = {c: i for i, c in enumerate(self.clocks)}
+        out: dict[str, list[Edge]] = {}
+        for e in self.edges:
+            out.setdefault(e.src, []).append(e)
+        self._out = {q: tuple(es) for q, es in out.items()}
         self.validate()
 
     # -- bookkeeping ---------------------------------------------------------
@@ -222,8 +226,9 @@ class TimedAutomaton:
     def values(self, clocks: ClockVector) -> dict[str, Fraction]:
         return dict(zip(self.clocks, clocks))
 
-    def edges_from(self, loc: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == loc]
+    def edges_from(self, loc: str) -> tuple[Edge, ...]:
+        """The edges leaving `loc`, in `edges` order."""
+        return self._out.get(loc, ())
 
     def edge_named(self, name: str) -> Edge:
         for e in self.edges:

@@ -1,6 +1,7 @@
 import importlib
 from collections import deque
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -432,6 +433,30 @@ def test_region_split_counts_regions_across_chains():
     with pytest.raises(RegionSplitCapExceeded,
                        match="cap of 1000: more regions in time-successor chains"):
         region_split(a, 1000)
+
+
+def test_region_split_builds_each_chain_once(monkeypatch):
+    """Every key region of a3 lies on the chain of x = 0, so its split builds
+    that chain alone and reads each other key's chain as a suffix of it.
+    Split edges with equal pins share one guard, and the split is unchanged."""
+    splitting = importlib.import_module("tempoclass.splitting")
+    real = splitting.time_successor_chain
+    starts = []
+
+    def counted(region):
+        starts.append(region)
+        return real(region)
+
+    monkeypatch.setattr(splitting, "time_successor_chain", counted)
+    rs = region_split(automaton("a3"))
+    assert (len(rs.locations), len(rs.edges)) == (10, 110)
+    assert starts == [region_of((0,), 5)]
+    shared: dict[Guard, Guard] = {}
+    for e in rs.edges:
+        assert shared.setdefault(e.guard, e.guard) is e.guard, e.name
+    assert len(shared) == 10
+    golden = Path(__file__).parent / "golden" / "regionize_a3.txt"
+    assert serialize_automaton(rs) + "\n" == golden.read_text(encoding="utf-8")
 
 
 def test_level_sets_membership(split_corpus):

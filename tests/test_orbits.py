@@ -55,8 +55,9 @@ def test_edge_orbit_table_aligns_with_one_kind_views(split_corpus, name):
 
 
 def test_edge_orbit_table_matches_dbm_oracle(oracle_subjects):
-    """The table reads each edge off one delay interval; `path_orbit_direct`
-    closes and projects one DBM per vertex pair instead."""
+    """The table reads each edge off one delay interval and maps it to its
+    entries in its own loop; `path_orbit_direct` closes and projects one DBM
+    per vertex pair instead and maps its classes through `_entries`."""
     for rs in oracle_subjects:
         for kind in KINDS:
             for e in rs.edges:
