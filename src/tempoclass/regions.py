@@ -41,13 +41,6 @@ class Region:
                 raise ValueError("integer parts must lie in [0, bound]")
             if v == self.bound and i not in self.zero_fraction:
                 raise ValueError("a clock at the bound must have zero fraction")
-        # regions key the region split's maps, so their hash is computed once;
-        # kept in the instance dict, outside the fields that eq and repr read
-        object.__setattr__(self, "_hash", hash(
-            (self.bound, self.int_part, self.zero_fraction, self.positive_blocks)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     # -- basic queries --------------------------------------------------------
 

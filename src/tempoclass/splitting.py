@@ -141,14 +141,12 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
 
     # forward exploration.  A key's chain is a suffix of any chain its region
     # lies on, so a chain is built only for a region on no earlier chain.
-    # Reset images are computed once per firing region and reset set.
     index = a.clock_index
     succ: dict[_Key, list[tuple[Edge, Region, frozenset[str], _Key]]] = {}
     order: list[_Key] = [start_key]
     queue = deque([start_key])
     seen = {start_key}
     on_chain: dict[Region, tuple[list[Region], int]] = {}
-    images: dict[tuple[Region, frozenset[str]], Region] = {}
     built = 0  # regions in the time-successor chains of the keys so far
     while queue:
         key = queue.popleft()
@@ -174,10 +172,7 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
                 forced = large.union(
                     c for c, ip in zip(a.clocks, fired.int_part) if ip is None)
                 resets2 = forced | e.resets
-                target_region = images.get((fired, resets2))
-                if target_region is None:
-                    target_region = images[fired, resets2] = \
-                        fired.reset(index(c) for c in resets2)
+                target_region = fired.reset(index(c) for c in resets2)
                 key2 = (e.dst, forced - e.resets, target_region)
                 out.append((e, fired, resets2, key2))
                 if key2 not in seen:
@@ -217,7 +212,7 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
     edges: list[Edge] = []
     per_edge: dict[str, int] = {}
     # one guard object per set of pins, so the edge table reads each
-    # guard's windows once; the pins read a region's integer parts and its
+    # guard's windows once; the pins read a region's bound, integer parts and
     # zero-fraction clocks alone
     pins: dict[tuple, Guard] = {}
     for key in kept_keys:
@@ -226,10 +221,10 @@ def region_split(a: TimedAutomaton, cap: int = DEFAULT_CAP) -> RegionSplitAutoma
                 continue
             k = per_edge.get(e.name, 0)
             per_edge[e.name] = k + 1
-            guard = pins.get((fired.int_part, fired.zero_fraction))
+            at = fired.bound, fired.int_part, fired.zero_fraction
+            guard = pins.get(at)
             if guard is None:
-                guard = pins[fired.int_part, fired.zero_fraction] = \
-                    region_pins(a.clocks, fired)
+                guard = pins[at] = region_pins(a.clocks, fired)
             edges.append(Edge(f"{e.name}.{k}", names[key], names[key2], e.label,
                               guard, resets2))
 
@@ -251,7 +246,6 @@ def check_exact_edges(a: RegionSplitAutomaton) -> None:
         a.location_vertices(e.src)
         a.location_vertices(e.dst)
     chains: dict[Region, list[Region]] = {}
-    images: dict[tuple[Region, frozenset[str]], Region] = {}
     for e in a.edges:
         region = a.regions[e.src]
         chain = chains.get(region)
@@ -261,11 +255,7 @@ def check_exact_edges(a: RegionSplitAutomaton) -> None:
         if len(fired) != 1:
             raise TAError(f"edge {e.name} is not exact: it fires from {len(fired)} "
                           "regions of its source region's time-successor chain")
-        image = images.get((fired[0], e.resets))
-        if image is None:
-            image = images[fired[0], e.resets] = \
-                fired[0].reset(a.clock_index(c) for c in e.resets)
-        if image != a.regions[e.dst]:
+        if fired[0].reset(a.clock_index(c) for c in e.resets) != a.regions[e.dst]:
             raise TAError(f"edge {e.name} is not exact: its firing region with its "
                           "resets applied is not its target's region")
 
