@@ -5,7 +5,8 @@ capping per-step delays at the max constant plus one (longer waits move events
 later without adding choices), trying only the delays inside some out-edge's
 guard window, and collapsing words that differ only in the
 order or multiplicity of simultaneous events (the pseudo-metric cannot tell
-them apart).  The word cap bounds its search states, and the count of those
+them apart); only a path with simultaneous events is sorted for its key.
+The word cap bounds its search states, and the count of those
 states is the only budget: each slice is compiled once, a second walker
 counts its search states without building words (memoised per instant),
 and `_counted_slice`, the one place that decides the cap, raises when the
@@ -13,9 +14,11 @@ count is over it, so a slice over the cap is never enumerated.  Both walkers
 keep their own stack, so the horizon sets no depth limit.  A curve counts
 its durations in increasing order up to the first slice over the cap and
 enumerates only the last slice counted, once per grid: that is the slice its
-rows report.  Capacity and entropy estimates come from the greedy
-separated-set size over the slice, one flat loop over bitset words kept in
-buckets keyed on letter set and the cell of the lowest set bit.
+rows report.  The walk builds each word's bitset as it goes, one bit per
+event on its path.  Capacity and entropy estimates come from the greedy
+separated-set size over the slice, one flat loop over those bitsets kept in
+buckets keyed on letter set and the cell of the first date of the letter
+with the lowest lane.
 """
 
 from __future__ import annotations
@@ -25,12 +28,15 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .ta import TAError
 from .words import INF, TimedWord
 
 DEFAULT_WORD_CAP = 400_000
+
+_by_date = itemgetter(1, 0)  # an event (letter, date) by date, then letter
 
 
 class EnumerationCapExceeded(TAError):
@@ -71,6 +77,7 @@ class _Slice(NamedTuple):
     clocks: tuple
     accepting: bool               # whether the start state accepts
     steps: Callable               # (location, clocks, date) -> list of moves
+    lanes: dict                   # letter -> its bit lane in `_walk`'s rows
 
 
 def _compile_slice(a, duration: Fraction, grid: Fraction, cap: int) -> Optional[_Slice]:
@@ -118,9 +125,11 @@ def _compile_slice(a, duration: Fraction, grid: Fraction, cap: int) -> Optional[
         return tuple(lower), tuple(upper)
 
     compiled = {}
+    lanes: dict[str, int] = {}    # in order of first use by an edge
     for e in a.edges:
         resets = frozenset(a.clock_index(c) for c in e.resets)
         compiled[e.name] = (e, *bounds(e.guard), resets, frozenset((e.label,)))
+        lanes.setdefault(e.label, len(lanes))
     out_edges = {q: [compiled[e.name] for e in a.edges_from(q)] for q in a.locations}
     check_start = bool(getattr(a, "regions", None))
     accepting = {q: bounds(g) for q, g in a.accepting.items()}
@@ -178,7 +187,7 @@ def _compile_slice(a, duration: Fraction, grid: Fraction, cap: int) -> Optional[
 
     start_clocks = tuple(units(x) for x in start.clocks)
     return _Slice(start.location, start_clocks, accepts(start.location, start_clocks),
-                  steps)
+                  steps, lanes)
 
 
 def _counted_slice(a, duration: Fraction, grid: Fraction, cap: int) -> Optional[_Slice]:
@@ -196,48 +205,104 @@ def _grid_words(a, duration: Fraction, grid: Fraction, cap: int) -> list[tuple]:
     units (date times `grid.denominator`), in `_grid_key` order; the slice
     is walked only when `_counted_slice` admits it."""
     s = _counted_slice(a, duration, grid, cap)
-    return [] if s is None else _walk(s)
+    return [] if s is None else [row[2] for row in _walk(s)]
 
 
 def _walk(s: _Slice) -> list[tuple]:
-    """Every word of the slice, depth-first and without a budget; one
-    `steps` call per search state.  The stack holds one frame per open
-    state, (its moves, its date, its instant's chain, the letters fired at
-    that date), and `events` the path to the top frame's state."""
+    """Every word of the slice as a `_greedy` row, depth-first and without a
+    budget; one `steps` call per search state.
+
+    The rows are those `_rows` gives for the slice's lanes, and come sorted:
+    their first three fields, the word's `_grid_key`, differ between words.
+    Each frame carries its path's `first`, `bits` and `letters`, so a move
+    sets one bit and no word's bitset is built from its events.
+
+    One word is kept per multiset of events, the first path found (the
+    pseudo-metric cannot tell the others apart).  Dates along a path never
+    decrease, so its events sorted by date and letter are its key: a path
+    whose dates strictly increase is its own key, and only a path with
+    simultaneous events sorts, from the first event at a date it shares on.
+
+    The stack holds one frame per open state: its moves, its date, its
+    instant's chain, the letters fired at that date, the path's first,
+    bits and letters, and the index of its first event at a shared date
+    (None while its dates strictly increase); `events` is the path to the
+    top frame's state."""
     steps = s.steps
-    # canonical (sorted) event multiset -> a feasible firing order
-    words: dict[tuple, tuple] = {}
+    lane_count = len(s.lanes)
+    # letter -> (its lane, its bit in `letters`, the bits of lanes up to its)
+    forms = {letter: (lane, 1 << lane, (2 << lane) - 1)
+             for letter, lane in s.lanes.items()}
+    words: dict[tuple, tuple] = {}  # key -> the row of its first path
     if s.accepting:
-        words[()] = ()
+        words[()] = (0, 0, (), 0, 0, 0)
     events: list[tuple] = []
     stack = [(iter(steps(s.location, s.clocks, 0)), 0,
-              {(s.location, s.clocks, frozenset())}, frozenset())]
+              {(s.location, s.clocks, frozenset())}, frozenset(), 0, 0, 0, None)]
     while stack:
-        moves, date, chain, letters = stack[-1]
+        moves, date, chain, fired, first, bits, letters, shared = stack[-1]
         for k, edge, landed, label, accepted in moves:
             if k == 0:
-                next_letters = letters | label
-                key = (edge.dst, landed, next_letters)
+                next_fired = fired | label
+                key = (edge.dst, landed, next_fired)
                 if key in chain:
                     continue
                 chain.add(key)
                 next_chain = chain
+                if shared is None and events:
+                    shared = len(events) - 1  # the first event at this date
             else:
                 next_chain = {(edge.dst, landed, label)}
-                next_letters = label
+                next_fired = label
             t = date + k
+            lane, bit, upto = forms[edge.label]
+            next_first = first if letters & upto else t
+            next_bits = bits | 1 << (t * lane_count + lane)
+            next_letters = letters | bit
             events.append((edge.label, t))
             if accepted:
-                words.setdefault(tuple(sorted(events)), tuple(events))
+                word = tuple(events)
+                key = word if shared is None else (
+                    word[:shared] + tuple(sorted(word[shared:], key=_by_date)))
+                words.setdefault(key, (t, len(word), word, next_first, next_bits,
+                                       next_letters))
             stack.append((iter(steps(edge.dst, landed, t)), t, next_chain,
-                          next_letters))
+                          next_fired, next_first, next_bits, next_letters, shared))
             break
         else:
             stack.pop()
             if stack:
                 events.pop()
-    # no two event multisets share a key
-    return sorted(words.values(), key=_grid_key)
+    return sorted(words.values())
+
+
+def _rows(words: Iterable[tuple], lanes: dict) -> list[tuple]:
+    """`_greedy`'s rows of event tuples in grid units, in the order given.
+
+    A row is (*`_grid_key`, first, bits, letters).  Each letter has a lane
+    in `lanes`, and with L lanes each date holds L bits, one per letter:
+    `bits` has bit t * L + lane set for each event (letter, t), and
+    `letters` bit lane for each letter.  `first` is the first date of the
+    word's letter with the lowest lane (0 for the empty word).  `_walk`
+    builds the same rows one event at a time."""
+    lane_count = len(lanes)
+    rows = []
+    for events in words:
+        first = bits = letters = 0
+        for letter, t in events:
+            lane = lanes[letter]
+            if not letters & ((2 << lane) - 1):
+                first = t
+            bits |= 1 << (t * lane_count + lane)
+            letters |= 1 << lane
+        rows.append((*_grid_key(events), first, bits, letters))
+    return rows
+
+
+def _grid_key(events: tuple) -> tuple:
+    """`word_sort_key` of a word whose dates are in grid units (scaling keeps
+    the order)."""
+    return (events[-1][1] if events else 0, len(events), events)
 
 
 def _search_states(a, duration: Fraction, grid: Fraction, cap: int) -> int:
@@ -300,12 +365,6 @@ def _count_states(s: _Slice, cap: int) -> int:
         else:
             stack.append((entry, instant(*entry)))
             count = None
-
-
-def _grid_key(events: tuple) -> tuple:
-    """`word_sort_key` of a word whose dates are in grid units (scaling keeps
-    the order)."""
-    return (events[-1][1] if events else 0, len(events), events)
 
 
 def _delays(windows):
@@ -380,78 +439,74 @@ def estimate_capacity(a, duration: Fraction, eps: Fraction,
     `words` replaces the enumeration of the slice.  It may come in any order
     (the greedy runs in `word_sort_key` order, so the size equals that of
     `words.greedy_separated(words, eps)`), but every date must lie on the
-    grid; `TAError` is raised otherwise.
+    grid; `TAError` is raised otherwise.  Its rows come from `_rows`, with
+    the letters' lanes in order of first use; an enumerated slice's come
+    from `_walk`, in the same layout.
     """
     eps = _positive_eps(eps)
     grid = _checked_grid(eps, grid)
     if words is None:
-        ordered = _grid_words(a, duration, grid, cap)
+        s = _counted_slice(a, duration, grid, cap)
+        rows, lanes = ([], {}) if s is None else (_walk(s), s.lanes)
     else:
         ordered = sorted((tuple((letter, _grid_units(t, grid)) for letter, t in w.events)
                           for w in words), key=_grid_key)
-    return _estimate(ordered, eps, grid)
+        used = dict.fromkeys(letter for events in ordered for letter, _ in events)
+        lanes = {letter: lane for lane, letter in enumerate(used)}
+        rows = _rows(ordered, lanes)
+    return _estimate(rows, len(lanes), eps, grid)
 
 
-def _estimate(ordered: Sequence[tuple], eps: Fraction, grid: Fraction) -> CapacityEstimate:
-    if not ordered:
+def _estimate(rows: Sequence[tuple], lane_count: int, eps: Fraction,
+              grid: Fraction) -> CapacityEstimate:
+    if not rows:
         return CapacityEstimate(0, 0, None)
     # distances between grid words are whole grid units, and an integer
     # exceeds eps/grid exactly when it exceeds its floor
-    size = _greedy(ordered, math.floor(eps / grid))
-    return CapacityEstimate(len(ordered), size, math.log2(size))
+    size = _greedy(rows, lane_count, math.floor(eps / grid))
+    return CapacityEstimate(len(rows), size, math.log2(size))
 
 
-def _greedy(ordered: Sequence[tuple], cutoff: int) -> int:
+def _greedy(rows: Sequence[tuple], lane_count: int, cutoff: int) -> int:
     """Size of the set that keeps each word farther than the cutoff from
-    everything kept before; `ordered` holds event tuples in grid units, in
-    `_grid_key` order.
+    everything kept before; `rows` are `_rows`'s (or `_walk`'s) over
+    `lane_count` lanes, in `_grid_key` order.  It reads each word's bitset and
+    builds none.
 
-    A word is one integer with a lane of bits per letter, bit t of a lane
-    set when that letter occurs at date t; the lanes are far enough apart
-    that spreading every bit by the cutoff either way (the dilation) stays
-    off the dates of other lanes.  w is within the cutoff of v exactly when
-    w's bits lie inside v's dilation and v's inside w's: the distance only
-    sees the set of (letter, date) events, so repeated and simultaneous
-    events need no care.  Each event's bit and lane, and the shifts that
-    build a dilation, are computed once per call.
+    Shifting a word's bits by a multiple of the lane count moves each along
+    its own letter's lane, so spreading every bit by the cutoff either way
+    (the dilation) never reaches another letter.  w is within the cutoff of
+    v exactly when w's bits lie inside v's dilation and v's inside w's: the
+    distance only sees the set of (letter, date) events, so repeated and
+    simultaneous events need no care.  The shifts that build a dilation are
+    computed once per call.
 
     Kept words are bucketed by letter set and by the cell, of width
-    cutoff + 1, of their lowest set bit: the first date of the letter with
-    the lowest lane.  Two words within the cutoff have the same letter set,
-    hence the same such letter, with first dates within the cutoff (each
-    first occurrence must find a match no earlier than the other's), and
+    cutoff + 1, of `first`: the first date of the letter with the lowest
+    lane.  Two words within the cutoff have the same letter set, hence the
+    same such letter, with first dates within the cutoff (each first
+    occurrence must find a match no earlier than the other's), and
     durations within it (likewise for the final events), so only the
     trailing duration window of the buckets next to a word's own is
-    scanned.  Nearness is a yes/no answer, so the scan order does not matter.
+    scanned.  Nearness is a yes/no answer, so the scan order does not
+    matter.
     """
     width = cutoff + 1
-    stride = max((events[-1][1] for events in ordered if events), default=0) + width
-    lanes: dict[str, int] = {}
-    forms: dict[tuple, tuple[int, int]] = {}  # event -> (its bit, its lane)
-    for events in ordered:
-        for event in events:
-            if event not in forms:
-                i = lanes.setdefault(event[0], len(lanes))
-                forms[event] = (1 << (i * stride + event[1]), 1 << i)
-    shifts = []   # after shifting by these, bit t covers dates t .. t + cutoff
+    shifts = []   # after shifting by these, date t covers dates t .. t + cutoff
     reach = 0
     while reach < cutoff:
-        shifts.append(min(reach + 1, cutoff - reach))
-        reach += shifts[-1]
+        step = min(reach + 1, cutoff - reach)
+        shifts.append(step * lane_count)
+        reach += step
+    back = cutoff * lane_count
     kept: dict[int, dict[int, tuple[list, list]]] = {}
     size = 0
-    for events in ordered:
-        bits = letters = 0
-        for event in events:
-            bit, lane = forms[event]
-            bits |= bit
-            letters |= lane
+    for duration, _, _, first, bits, letters in rows:
         spread = bits
         for step in shifts:
             spread |= spread << step
-        outside = ~(spread | spread >> cutoff)
-        duration = events[-1][1] if events else 0
-        cell = ((bits & -bits).bit_length() - 1) // width
+        outside = ~(spread | spread >> back)
+        cell = first // width
         cells = kept.setdefault(letters, {})
         for c in (cell, cell - 1, cell + 1):
             bucket = cells.get(c)
@@ -530,14 +585,14 @@ def bandwidth_curve(a, durations: Sequence[Fraction], epss: Sequence[Fraction],
         if last is None or last[1] is None:
             continue
         t, s = last
-        words = _walk(s)
+        rows = _walk(s)
         for k in members:
-            est = _estimate(words, epss[k], g)
+            est = _estimate(rows, len(s.lanes), epss[k], g)
             if not est.empty:
                 assert est.capacity_bits is not None and est.entropy_bits is not None
                 best[k] = CurveRow(epss[k], t, g, est.capacity_bits,
                                    est.entropy_bits, est.word_count)
-        del last, s, words
+        del last, s, rows
     return [row for row in best if row is not None]
 
 

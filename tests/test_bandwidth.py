@@ -10,7 +10,7 @@ import pytest
 from conftest import TICKER, deterministic_draws
 from tempoclass.bandwidth import (DEFAULT_WORD_CAP, CurveRow,
                                   EnumerationCapExceeded, _compile_slice,
-                                  _grid_words, _search_states, _walk,
+                                  _grid_words, _rows, _search_states, _walk,
                                   bandwidth_curve, curve_csv, enumerate_words,
                                   estimate_capacity, fit_class)
 from tempoclass.corpus import NAMES, automaton
@@ -317,6 +317,118 @@ def test_search_states_check_the_slice_like_the_enumerator():
         with pytest.raises(TAError) as enumerated:
             _grid_words(a, duration, grid, cap)
         assert str(counted.value) == str(enumerated.value)
+
+
+# two a edges from q whose guards overlap on (0, 2), so the walk reads many
+# event sequences along two paths, with and without simultaneous events
+TWIN_EDGES = """automaton twin
+clocks x
+alphabet a b
+location q initial accepting
+location p accepting
+edge q -> p on a guard x < 2
+edge q -> p on a guard x > 0, x < 3 reset x
+edge p -> q on b
+"""
+
+
+def _sorted_key_words(s) -> tuple[list, int]:
+    """The slice's words by the same depth-first walk, one per multiset of
+    events keyed on the whole sorted path, each the first path found; also
+    the number of paths whose dates strictly increase and whose multiset
+    was found before."""
+    words, repeated = {}, 0
+    if s.accepting:
+        words[()] = ()
+    events = []
+    stack = [(iter(s.steps(s.location, s.clocks, 0)), 0,
+              {(s.location, s.clocks, frozenset())}, frozenset())]
+    while stack:
+        moves, date, chain, letters = stack[-1]
+        for k, edge, landed, label, accepted in moves:
+            if k == 0:
+                next_letters = letters | label
+                key = (edge.dst, landed, next_letters)
+                if key in chain:
+                    continue
+                chain.add(key)
+                next_chain = chain
+            else:
+                next_chain = {(edge.dst, landed, label)}
+                next_letters = label
+            t = date + k
+            events.append((edge.label, t))
+            if accepted:
+                key = tuple(sorted(events))
+                if key in words:
+                    repeated += len({d for _, d in events}) == len(events)
+                words.setdefault(key, tuple(events))
+            stack.append((iter(s.steps(edge.dst, landed, t)), t, next_chain,
+                          next_letters))
+            break
+        else:
+            stack.pop()
+            if stack:
+                events.pop()
+    ordered = sorted(words.values(),
+                     key=lambda w: (w[-1][1] if w else 0, len(w), w))
+    return ordered, repeated
+
+
+def test_walk_keys_keep_the_first_path_of_each_multiset(split_corpus):
+    """Keying a path on itself while its dates strictly increase, and on its
+    events sorted from its first shared date otherwise, keeps the words and
+    the first paths that keying every path on its sorted events keeps: on
+    the corpus, plain and split, on 60 random automata and on an automaton
+    with two overlapping a edges, where paths with strictly increasing
+    dates repeat a sequence."""
+    cap = 20_000
+    subjects = [*(automaton(n) for n in NAMES), *split_corpus.values(),
+                *deterministic_draws(7, 60), parse_automaton(TWIN_EDGES)]
+    repeats = 0
+    for a in subjects:
+        for duration, grid in COUNTED_SLICES:
+            if _search_states(a, duration, grid, cap) > cap:
+                continue
+            expected, repeated = _sorted_key_words(_compile_slice(a, duration, grid, cap))
+            assert _grid_words(a, duration, grid, cap) == expected, (a.name, duration, grid)
+            if a.name == "twin":
+                repeats += repeated
+    assert repeats > 0
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["plain", "split"])
+def test_walk_builds_the_rows_of_its_words(split, split_corpus):
+    """The bitsets the walk builds one event at a time equal those `_rows`
+    builds from each word's events, and `estimate_capacity` estimates the
+    same from its own walk as from `enumerate_words`'s words, whose lanes
+    it orders by first use.  At T = 1/8 on grid 1/16, eps = 1/2 is a cutoff
+    of 8 grid units over a horizon of 2."""
+    cap = 20_000
+    for name in NAMES:
+        a = split_corpus[name] if split else automaton(name)
+        for duration, grid in [*COUNTED_SLICES, (F(1, 8), F(1, 16))]:
+            if _search_states(a, duration, grid, cap) > cap:
+                continue
+            s = _compile_slice(a, duration, grid, cap)
+            rows = _walk(s)
+            assert rows == _rows([row[2] for row in rows], s.lanes)
+            words = enumerate_words(a, duration, grid, cap)
+            for eps in (2 * grid, 3 * grid, 8 * grid):
+                assert (estimate_capacity(a, duration, eps, grid, cap)
+                        == estimate_capacity(a, duration, eps, grid, cap, words=words)), (
+                    name, duration, grid, eps)
+
+
+def test_ticker_keeps_every_word_of_its_deepest_slices():
+    """At T = 3000 the ticker's words are its 3,001 prefixes, one event a
+    second; any two differ by a whole event, so at every eps the greedy
+    keeps them all."""
+    epss = [F(1, 2), F(1, 4), F(1, 8)]
+    rows = bandwidth_curve(parse_automaton(TICKER), [F(3000)], epss)
+    assert [(r.eps, r.duration, r.grid, r.word_count) for r in rows] == [
+        (eps, F(3000), eps / 2, 3001) for eps in epss]
+    assert all(r.capacity_bits == math.log2(3001) for r in rows)
 
 
 def _record_slices(monkeypatch) -> tuple[list, list]:
